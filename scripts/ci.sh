@@ -361,7 +361,7 @@ cmake --build "${prefix}-tsan" -j
 # HP_THREADS=4 forces a real multi-worker pool even on 1-2 core CI
 # machines, so TSan sees genuine cross-thread interleavings in the
 # deques, the parallel kcore/BFS/fuzz paths, and the prefetch fan-out.
-HP_THREADS=4 "${prefix}-tsan/tests/unit_tests" --gtest_filter='*Par*:*par*:TaskGroup*:ThreadPool*:LaneLimit*:Oversubscription*:Determinism*:ParallelKCore*:KCoreEquivalence*:FrontierPeel*:Seeds/FrontierPeel*:Invariants*:Mutate*:ServeTest*:ContextPool*'
+HP_THREADS=4 "${prefix}-tsan/tests/unit_tests" --gtest_filter='*Par*:*par*:TaskGroup*:ThreadPool*:LaneLimit*:Oversubscription*:Determinism*:ParallelKCore*:KCoreEquivalence*:FrontierPeel*:Seeds/FrontierPeel*:Invariants*:Mutate*:ServeTest*:ContextPool*:*TraversalProperties*'
 # The fuzz smoke again runs the 1000-sequence mutation differential,
 # here with a real multi-worker pool under the rebuild tier's builds.
 HP_THREADS=4 "${prefix}-tsan/src/cli/hp_fuzz" --seed-range 0:1000 \

@@ -1,7 +1,6 @@
 #include "check/oracles.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <sstream>
 
@@ -327,12 +326,13 @@ void check_components_and_paths(const Hypergraph& h, bool with_paths,
 
   if (!with_paths) return;
   // Recompute the exact path summary one BFS at a time and require
-  // agreement with the (parallel) path_summary implementation. BFS
+  // bit-identical agreement with the (bit-parallel, pooled)
+  // path_summary: both sides divide the same two integers. BFS
   // reachability must also match the component labelling.
   const hyper::HyperPathSummary summary = hyper::path_summary(h);
   index_t diameter = 0;
   count_t pairs = 0;
-  double total_length = 0.0;
+  count_t total_length = 0;
   for (index_t source = 0; source < h.num_vertices(); ++source) {
     const std::vector<index_t> dist = hyper::bfs_distances(h, source);
     for (index_t v = 0; v < h.num_vertices(); ++v) {
@@ -357,8 +357,10 @@ void check_components_and_paths(const Hypergraph& h, bool with_paths,
   if (summary.connected_pairs != pairs) {
     fail(failures, "paths", "connected pair counts differ");
   }
-  const double average = pairs > 0 ? total_length / pairs : 0.0;
-  if (std::abs(summary.average_length - average) > 1e-6) {
+  const double average = pairs > 0 ? static_cast<double>(total_length) /
+                                         static_cast<double>(pairs)
+                                   : 0.0;
+  if (summary.average_length != average) {
     fail(failures, "paths", "average path lengths differ");
   }
 }

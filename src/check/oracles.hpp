@@ -19,7 +19,8 @@
 //   * projections     -- clique/star/bipartite/intersection expansions
 //     are mutually consistent and consistent with the overlap table.
 //   * components/paths -- component labels respect incidence; the exact
-//     path summary matches a per-source BFS recomputation.
+//     path summary equals a per-source BFS recomputation bit for bit
+//     (diameter, pair count and average length).
 //   * covers          -- the greedy multicover output is feasible.
 //   * context         -- AnalysisContext-cached artifacts are identical
 //     to cold computations and stable across repeated access.

@@ -1,6 +1,8 @@
 #include "core/traversal.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "obs/trace.hpp"
 #include "par/thread_pool.hpp"
@@ -77,51 +79,53 @@ HyperComponents connected_components(const Hypergraph& h) {
 
 namespace {
 
-/// Per-lane BFS workspace reused across sources. Visitation is
-/// epoch-stamped (one epoch per source), so successive BFS runs skip
-/// the O(|V| + |F|) reset the one-shot bfs_distances pays.
-struct BfsScratch {
-  std::vector<index_t> vertex_epoch;
-  std::vector<index_t> edge_epoch;
-  std::vector<index_t> frontier;
-  std::vector<index_t> next;
-  index_t epoch = 0;
+/// Sources per batch: one bit of a machine word each.
+constexpr index_t kBatchWidth = 64;
 
-  void ensure(const Hypergraph& h) {
-    if (vertex_epoch.size() == h.num_vertices()) return;
-    vertex_epoch.assign(h.num_vertices(), 0);
-    edge_epoch.assign(h.num_edges(), 0);
-  }
+/// Per-lane workspace and exact integer partials. Bit i of a word
+/// stands for source `base + i` of the batch the lane is running.
+struct LanePartial {
+  std::vector<std::uint64_t> seen;      ///< per vertex: sources reaching it
+  std::vector<std::uint64_t> frontier;  ///< per vertex: reached this level
+  std::vector<std::uint64_t> edge;      ///< per hyperedge: frontier sources
+  count_t total = 0;
+  count_t pairs = 0;
+  index_t diameter = 0;
 };
 
-/// One hyperpath BFS from `source`, folding distances straight into the
-/// partial sums (the distance array itself is scratch).
-void accumulate_bfs(const Hypergraph& h, index_t source, BfsScratch& s,
-                    count_t& total, count_t& pairs, index_t& diameter) {
-  s.ensure(h);
-  const index_t epoch = ++s.epoch;
-  s.frontier.clear();
-  s.frontier.push_back(source);
-  s.vertex_epoch[source] = epoch;
-  index_t level = 0;
-  while (!s.frontier.empty()) {
-    ++level;
-    s.next.clear();
-    for (index_t u : s.frontier) {
-      for (index_t e : h.edges_of(u)) {
-        if (s.edge_epoch[e] == epoch) continue;
-        s.edge_epoch[e] = epoch;
-        for (index_t v : h.vertices_of(e)) {
-          if (s.vertex_epoch[v] == epoch) continue;
-          s.vertex_epoch[v] = epoch;
-          s.next.push_back(v);
-          total += level;
-          ++pairs;
-          diameter = std::max(diameter, level);
-        }
-      }
+/// Hyperpath BFS from the sources [base, base + 64) at once (Then et
+/// al., "The More the Merrier", VLDB 2014). A level is one pull pass
+/// over the hyperedges and one over the vertices, each ORing words, so
+/// a batch costs 2 * pins word operations per level whatever its width.
+void accumulate_batch(const Hypergraph& h, index_t base, LanePartial& p) {
+  const index_t n = h.num_vertices();
+  const index_t m = h.num_edges();
+  p.seen.assign(n, 0);
+  p.frontier.assign(n, 0);
+  p.edge.resize(m);
+  const index_t width = std::min(kBatchWidth, n - base);
+  for (index_t i = 0; i < width; ++i) {
+    p.seen[base + i] = p.frontier[base + i] = std::uint64_t{1} << i;
+  }
+  for (index_t level = 1;; ++level) {
+    for (index_t e = 0; e < m; ++e) {
+      std::uint64_t bits = 0;
+      for (index_t v : h.vertices_of(e)) bits |= p.frontier[v];
+      p.edge[e] = bits;
     }
-    s.frontier.swap(s.next);
+    count_t found = 0;
+    for (index_t v = 0; v < n; ++v) {
+      std::uint64_t bits = 0;
+      for (index_t e : h.edges_of(v)) bits |= p.edge[e];
+      bits &= ~p.seen[v];
+      p.seen[v] |= bits;
+      p.frontier[v] = bits;
+      found += static_cast<count_t>(std::popcount(bits));
+    }
+    if (found == 0) return;
+    p.total += level * found;
+    p.pairs += found;
+    p.diameter = std::max(p.diameter, level);
   }
 }
 
@@ -131,23 +135,19 @@ HyperPathSummary path_summary(const Hypergraph& h) {
   HP_TRACE_SPAN("traversal.path_summary");
   HyperPathSummary summary;
   const index_t n = h.num_vertices();
+  const index_t batches = (n + kBatchWidth - 1) / kBatchWidth;
 
-  // All-sources sweep on the shared pool: each lane owns one BfsScratch
-  // plus exact integer partials, merged lane-by-lane afterwards --
-  // schedule-independent, so HP_THREADS=1 and =16 agree bit-for-bit.
-  struct LanePartial {
-    BfsScratch scratch;
-    count_t total = 0;
-    count_t pairs = 0;
-    index_t diameter = 0;
-  };
+  // Batches of 64 sources on the shared pool: each lane owns one
+  // workspace plus exact integer partials, merged lane-by-lane
+  // afterwards -- schedule-independent, so HP_THREADS=1 and =16 agree
+  // bit-for-bit.
   std::vector<LanePartial> lanes(
       static_cast<std::size_t>(par::ThreadPool::global().thread_count()));
-  par::parallel_for(0, n, /*grain=*/4, [&](index_t begin, index_t end,
-                                           int lane) {
+  par::parallel_for(0, batches, /*grain=*/1, [&](index_t begin, index_t end,
+                                                 int lane) {
     LanePartial& p = lanes[static_cast<std::size_t>(lane)];
-    for (index_t s = begin; s < end; ++s) {
-      accumulate_bfs(h, s, p.scratch, p.total, p.pairs, p.diameter);
+    for (index_t b = begin; b < end; ++b) {
+      accumulate_batch(h, b * kBatchWidth, p);
     }
   });
 

@@ -1,9 +1,11 @@
 // Metric properties of hypergraph distances on random inputs: symmetry,
 // triangle inequality, component consistency, and agreement between the
-// all-pairs summary and per-source BFS.
+// all-pairs summary and per-source BFS (across 64-source word
+// boundaries and lane caps).
 #include <gtest/gtest.h>
 
 #include "core/traversal.hpp"
+#include "par/thread_pool.hpp"
 #include "test_helpers.hpp"
 
 namespace hp::hyper {
@@ -59,10 +61,34 @@ TEST_P(TraversalProperties, ReachabilityMatchesComponents) {
   }
 }
 
-TEST_P(TraversalProperties, SummaryAgreesWithPerSourceBfs) {
-  Rng rng{GetParam() * 719};
-  const Hypergraph h = testing::random_hypergraph(rng, 18, 14, 4);
-  const HyperPathSummary summary = path_summary(h);
+/// Random hypergraph on `n` vertices whose batches of 64 sources cut
+/// across components: every seventh vertex is isolated, and the rest
+/// split by parity into two halves no hyperedge crosses. Hyperedges are
+/// small and sparse, so distances run over many levels.
+Hypergraph split_hypergraph(Rng& rng, index_t n) {
+  HypergraphBuilder builder{n};
+  for (index_t parity = 0; parity < 2; ++parity) {
+    std::vector<index_t> half;
+    for (index_t v = parity; v < n; v += 2) {
+      if (v % 7 != 3) half.push_back(v);
+    }
+    if (half.empty()) continue;
+    std::vector<index_t> members;
+    for (std::size_t e = 0; e < half.size() * 3 / 5 + 1; ++e) {
+      members.clear();
+      const index_t size = 2 + static_cast<index_t>(rng.uniform(2));
+      for (index_t i = 0; i < size; ++i) {
+        members.push_back(half[rng.uniform(half.size())]);
+      }
+      builder.add_edge(members);
+    }
+  }
+  return builder.build();
+}
+
+/// path_summary must equal the per-source bfs_distances recomputation
+/// exactly -- all three fields, average included -- at every lane cap.
+void expect_summary_matches_bfs(const Hypergraph& h) {
   count_t pairs = 0, total = 0;
   index_t diameter = 0;
   for (index_t s = 0; s < h.num_vertices(); ++s) {
@@ -74,11 +100,28 @@ TEST_P(TraversalProperties, SummaryAgreesWithPerSourceBfs) {
       diameter = std::max(diameter, dist[v]);
     }
   }
-  EXPECT_EQ(summary.connected_pairs, pairs);
-  EXPECT_EQ(summary.diameter, diameter);
-  if (pairs > 0) {
-    EXPECT_DOUBLE_EQ(summary.average_length,
-                     static_cast<double>(total) / pairs);
+  const double average =
+      pairs > 0 ? static_cast<double>(total) / static_cast<double>(pairs)
+                : 0.0;
+  for (int cap : {1, 2, 16}) {
+    par::LaneLimit limit{cap};
+    const HyperPathSummary summary = path_summary(h);
+    EXPECT_EQ(summary.connected_pairs, pairs)
+        << h.num_vertices() << " vertices, cap " << cap;
+    EXPECT_EQ(summary.diameter, diameter)
+        << h.num_vertices() << " vertices, cap " << cap;
+    EXPECT_EQ(summary.average_length, average)
+        << h.num_vertices() << " vertices, cap " << cap;
+  }
+}
+
+TEST_P(TraversalProperties, SummaryAgreesWithPerSourceBfs) {
+  Rng rng{GetParam() * 719};
+  expect_summary_matches_bfs(testing::random_hypergraph(rng, 18, 14, 4));
+  // Sources run 64 to a machine word: cover one partial word, exact
+  // word multiples, one source past them, and several words.
+  for (index_t n : {1u, 63u, 64u, 65u, 128u, 129u, 200u}) {
+    expect_summary_matches_bfs(split_hypergraph(rng, n));
   }
 }
 

@@ -292,7 +292,7 @@ TEST(Determinism, KcoreAndPathsIdenticalAcrossLaneCaps) {
           << "seed " << seed << " cap " << cap;
       EXPECT_EQ(paths.connected_pairs, serial_paths.connected_pairs)
           << "seed " << seed << " cap " << cap;
-      EXPECT_DOUBLE_EQ(paths.average_length, serial_paths.average_length)
+      EXPECT_EQ(paths.average_length, serial_paths.average_length)
           << "seed " << seed << " cap " << cap;
     }
   }
