@@ -1,174 +1,38 @@
-// Ablation A + parallel extension: microbenchmarks of the hypergraph
-// k-core implementations.
+// Microbenchmarks of the hypergraph k-core implementations.
 //
-//   * overlap-maintaining peel (the paper's algorithm, Fig. 4)
+//   * core_decomposition -- the paper's algorithm (Fig. 4) as the
+//     bulk-synchronous frontier peel, the "parallel algorithm" its
+//     section 3 calls for, at 1/2/4 lanes (par::LaneLimit)
 //   * naive set-comparison reference (what the paper argues against)
-//   * bulk-synchronous parallel peel (the "parallel algorithm" the
-//     paper's section 3 calls for), at 1/2/4 threads
 //
 // Size sweep over random hypergraphs and a Cellzome-scale instance.
+// Substrate counters (containment probes, cascaded deletions, frontier
+// rounds) are exported on the Cellzome run so the paper's O(|E|
+// (Delta_2,F + Delta_V log Delta_2,F)) bound is empirically visible.
 //
-// BM_KCoreOverlapMapBaseline preserves the pre-substrate implementation
-// (one std::unordered_map row per hyperedge, decremented pair by pair)
-// so the FlatOverlapTracker rewrite stays honest: the flat CSR-of-rows
-// peel must be no slower than this baseline. Substrate counters
-// (overlap decrements, containment probes, peel rounds) are exported on
-// the Cellzome runs so the paper's O(|E| (Delta_2,F + Delta_V log
-// Delta_2,F)) bound is empirically visible.
-// Frontier ablation mode (scripts/ci.sh): invoked with --quick/--json,
-// the binary skips google-benchmark and instead times the frontier
-// peeling engine against the legacy scan-and-stamp engine on a scaled
-// Cellzome surrogate (--proteins, >= 10^6 in CI), self-checking that
-// both engines produce bit-identical decompositions before any timing,
-// and writes BENCH_kcore.json for the >= 2x speedup gate at 16 threads.
+// Lane ablation mode (scripts/ci.sh): invoked with --quick/--json, the
+// binary skips google-benchmark and instead times the peel at one lane
+// and at all pool lanes on a scaled Cellzome surrogate (--proteins,
+// >= 10^6 in CI). Before any timing it self-checks that the engine
+// equals the naive reference exactly on the calibrated surrogate and
+// that one lane equals all lanes at scale, and it writes
+// BENCH_kcore.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bio/cellzome_synth.hpp"
 #include "core/kcore.hpp"
 #include "core/kcore_naive.hpp"
-#include "core/kcore_parallel.hpp"
 #include "par/thread_pool.hpp"
 #include "util/args.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace {
-
-/// The retired map-based peel (kcore.cpp as of the pre-substrate tree),
-/// kept verbatim-in-spirit as the ablation baseline.
-class MapPeelBaseline {
- public:
-  explicit MapPeelBaseline(const hp::hyper::Hypergraph& h)
-      : h_(h),
-        rows_(h.num_edges()),
-        vertex_alive_(h.num_vertices(), true),
-        edge_alive_(h.num_edges(), true),
-        vertex_degree_(h.num_vertices()),
-        edge_size_(h.num_edges()),
-        in_queue_(h.num_vertices(), false),
-        alive_vertex_count_(h.num_vertices()),
-        alive_edge_count_(h.num_edges()) {
-    using hp::index_t;
-    for (index_t v = 0; v < h.num_vertices(); ++v) {
-      vertex_degree_[v] = h.vertex_degree(v);
-      const auto edges = h.edges_of(v);
-      for (std::size_t i = 0; i < edges.size(); ++i) {
-        for (std::size_t j = i + 1; j < edges.size(); ++j) {
-          ++rows_[edges[i]][edges[j]];
-          ++rows_[edges[j]][edges[i]];
-        }
-      }
-    }
-    for (index_t e = 0; e < h.num_edges(); ++e) {
-      edge_size_[e] = h.edge_size(e);
-    }
-  }
-
-  hp::hyper::HyperCoreResult run() {
-    using hp::index_t;
-    hp::hyper::HyperCoreResult result;
-    result.vertex_core.assign(h_.num_vertices(), 0);
-    result.edge_core.assign(h_.num_edges(), 0);
-    for (index_t f = 0; f < h_.num_edges(); ++f) {
-      if (edge_alive_[f] && find_container(f) != hp::kInvalidIndex) {
-        delete_edge(f, 0, result.edge_core);
-      }
-    }
-    result.level_vertices.push_back(alive_vertex_count_);
-    result.level_edges.push_back(alive_edge_count_);
-    for (index_t k = 1;; ++k) {
-      for (index_t v = 0; v < h_.num_vertices(); ++v) {
-        if (vertex_alive_[v] && vertex_degree_[v] < k) enqueue(v);
-      }
-      while (!queue_.empty()) {
-        const index_t v = queue_.back();
-        queue_.pop_back();
-        in_queue_[v] = false;
-        if (!vertex_alive_[v]) continue;
-        delete_vertex(v, k, result);
-      }
-      if (alive_vertex_count_ == 0) {
-        result.max_core = k - 1;
-        break;
-      }
-      result.level_vertices.push_back(alive_vertex_count_);
-      result.level_edges.push_back(alive_edge_count_);
-    }
-    return result;
-  }
-
- private:
-  using index_t = hp::index_t;
-
-  void enqueue(index_t v) {
-    if (!in_queue_[v]) {
-      in_queue_[v] = true;
-      queue_.push_back(v);
-    }
-  }
-
-  index_t find_container(index_t f) const {
-    const index_t size_f = edge_size_[f];
-    if (size_f == 0) return f;
-    for (const auto& [g, ov] : rows_[f]) {
-      if (!edge_alive_[g] || ov == 0) continue;
-      if (ov == size_f) return g;
-    }
-    return hp::kInvalidIndex;
-  }
-
-  void delete_vertex(index_t v, index_t k, hp::hyper::HyperCoreResult& out) {
-    vertex_alive_[v] = false;
-    --alive_vertex_count_;
-    out.vertex_core[v] = k - 1;
-    touched_.clear();
-    for (index_t e : h_.edges_of(v)) {
-      if (edge_alive_[e]) touched_.push_back(e);
-    }
-    for (std::size_t i = 0; i < touched_.size(); ++i) {
-      for (std::size_t j = i + 1; j < touched_.size(); ++j) {
-        --rows_[touched_[i]][touched_[j]];
-        --rows_[touched_[j]][touched_[i]];
-      }
-    }
-    for (index_t e : touched_) --edge_size_[e];
-    for (index_t f : touched_) {
-      if (!edge_alive_[f]) continue;
-      if (find_container(f) != hp::kInvalidIndex) {
-        delete_edge(f, k, out.edge_core);
-      }
-    }
-  }
-
-  void delete_edge(index_t f, index_t k, std::vector<index_t>& edge_core) {
-    edge_alive_[f] = false;
-    --alive_edge_count_;
-    if (k >= 1) edge_core[f] = k - 1;
-    for (index_t w : h_.vertices_of(f)) {
-      if (!vertex_alive_[w]) continue;
-      --vertex_degree_[w];
-      if (k >= 1 && vertex_degree_[w] < k) enqueue(w);
-    }
-  }
-
-  const hp::hyper::Hypergraph& h_;
-  std::vector<std::unordered_map<index_t, index_t>> rows_;
-  std::vector<bool> vertex_alive_;
-  std::vector<bool> edge_alive_;
-  std::vector<index_t> vertex_degree_;
-  std::vector<index_t> edge_size_;
-  std::vector<bool> in_queue_;
-  std::vector<index_t> queue_;
-  std::vector<index_t> touched_;
-  index_t alive_vertex_count_ = 0;
-  index_t alive_edge_count_ = 0;
-};
 
 hp::hyper::Hypergraph random_hypergraph(std::uint64_t seed,
                                         hp::index_t num_vertices,
@@ -196,7 +60,7 @@ const hp::hyper::Hypergraph& cellzome() {
   return h;
 }
 
-void BM_KCoreOverlap(benchmark::State& state) {
+void BM_KCorePeel(benchmark::State& state) {
   const auto h = random_hypergraph(42, static_cast<hp::index_t>(state.range(0)),
                                    static_cast<hp::index_t>(state.range(0)),
                                    8);
@@ -205,19 +69,7 @@ void BM_KCoreOverlap(benchmark::State& state) {
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_KCoreOverlap)->Range(64, 4096)->Complexity();
-
-void BM_KCoreOverlapMapBaseline(benchmark::State& state) {
-  const auto h = random_hypergraph(42, static_cast<hp::index_t>(state.range(0)),
-                                   static_cast<hp::index_t>(state.range(0)),
-                                   8);
-  for (auto _ : state) {
-    MapPeelBaseline baseline{h};
-    benchmark::DoNotOptimize(baseline.run());
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_KCoreOverlapMapBaseline)->Range(64, 4096)->Complexity();
+BENCHMARK(BM_KCorePeel)->Range(64, 4096)->Complexity();
 
 void BM_KCoreNaive(benchmark::State& state) {
   const auto h = random_hypergraph(42, static_cast<hp::index_t>(state.range(0)),
@@ -232,27 +84,24 @@ void BM_KCoreNaive(benchmark::State& state) {
 // still completes quickly.
 BENCHMARK(BM_KCoreNaive)->Range(64, 1024)->Complexity();
 
-void BM_KCoreParallel(benchmark::State& state) {
+void BM_KCoreLanes(benchmark::State& state) {
   const auto h = random_hypergraph(42, 2048, 2048, 8);
-  const int threads = static_cast<int>(state.range(0));
+  const hp::par::LaneLimit limit{static_cast<int>(state.range(0))};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        hp::hyper::core_decomposition_parallel(h, threads));
+    benchmark::DoNotOptimize(hp::hyper::core_decomposition(h));
   }
 }
-BENCHMARK(BM_KCoreParallel)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_KCoreLanes)->Arg(1)->Arg(2)->Arg(4);
 
-void BM_KCoreCellzomeOverlap(benchmark::State& state) {
+void BM_KCoreCellzomePeel(benchmark::State& state) {
   const auto& h = cellzome();
   hp::hyper::PeelStats stats;
   for (auto _ : state) {
     stats = {};
     benchmark::DoNotOptimize(hp::hyper::core_decomposition(h, &stats));
   }
-  // Substrate counters for the last run: the two terms of the paper's
-  // bound (overlap maintenance, containment probing) plus peel shape.
-  state.counters["overlap_decrements"] =
-      static_cast<double>(stats.overlap_decrements);
+  // Substrate counters for the last run: containment work (the peel
+  // recounts overlaps per shrunken edge) plus peel shape.
   state.counters["containment_probes"] =
       static_cast<double>(stats.containment_probes);
   state.counters["cascaded_deletions"] =
@@ -261,16 +110,7 @@ void BM_KCoreCellzomeOverlap(benchmark::State& state) {
   state.counters["peak_queue"] =
       static_cast<double>(stats.peak_queue_length);
 }
-BENCHMARK(BM_KCoreCellzomeOverlap);
-
-void BM_KCoreCellzomeOverlapMapBaseline(benchmark::State& state) {
-  const auto& h = cellzome();
-  for (auto _ : state) {
-    MapPeelBaseline baseline{h};
-    benchmark::DoNotOptimize(baseline.run());
-  }
-}
-BENCHMARK(BM_KCoreCellzomeOverlapMapBaseline);
+BENCHMARK(BM_KCoreCellzomePeel);
 
 void BM_KCoreCellzomeNaive(benchmark::State& state) {
   const auto& h = cellzome();
@@ -280,15 +120,7 @@ void BM_KCoreCellzomeNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_KCoreCellzomeNaive);
 
-void BM_KCoreCellzomeParallel(benchmark::State& state) {
-  const auto& h = cellzome();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hp::hyper::core_decomposition_parallel(h));
-  }
-}
-BENCHMARK(BM_KCoreCellzomeParallel);
-
-// --- Frontier-vs-stamp ablation (scripts/ci.sh mode) -----------------
+// --- Lane ablation (scripts/ci.sh mode) ------------------------------
 
 bool bit_identical(const hp::hyper::HyperCoreResult& a,
                    const hp::hyper::HyperCoreResult& b) {
@@ -310,38 +142,31 @@ double best_seconds(int reps, const Fn& fn) {
   return best;
 }
 
-int run_frontier_ablation(const hp::Args& args) {
+hp::hyper::HyperCoreResult one_lane_peel(const hp::hyper::Hypergraph& h) {
+  const hp::par::LaneLimit limit{1};
+  return hp::hyper::core_decomposition(h);
+}
+
+int run_lane_ablation(const hp::Args& args) {
   const hp::index_t proteins =
       static_cast<hp::index_t>(args.get_int("proteins", 1000000));
   const bool quick = args.get_bool("quick", false);
   const std::string json_path = args.get("json", "");
   const int reps = quick ? 2 : 3;
 
-  std::printf("=== k-core frontier ablation: %d pool lanes, %d hardware ===\n",
+  std::printf("=== k-core lane ablation: %d pool lanes, %d hardware ===\n",
               hp::par::ThreadPool::global().thread_count(),
               hp::par::hardware_threads());
 
-  // Self-check 1 (paper scale, both disciplines): sequential and
-  // parallel frontier engines must be bit-identical to their scan
-  // twins before any timing is trusted.
-  {
-    const auto& h = cellzome();
-    if (!bit_identical(hp::hyper::core_decomposition(h),
-                       hp::hyper::core_decomposition_scan(h))) {
-      std::fprintf(stderr, "frontier ablation: sequential frontier and scan "
-                           "engines disagree on the Cellzome surrogate\n");
-      return 1;
-    }
-    if (!bit_identical(hp::hyper::core_decomposition_parallel(h),
-                       hp::hyper::core_decomposition_parallel_scan(h))) {
-      std::fprintf(stderr, "frontier ablation: parallel frontier and scan "
-                           "engines disagree on the Cellzome surrogate\n");
-      return 1;
-    }
+  // Self-check 1 (paper scale): the engine equals the naive reference
+  // in every field before any timing is trusted.
+  if (!bit_identical(hp::hyper::core_decomposition(cellzome()),
+                     hp::hyper::core_decomposition_naive(cellzome()))) {
+    std::fprintf(stderr, "lane ablation: engine and naive reference "
+                         "disagree on the Cellzome surrogate\n");
+    return 1;
   }
 
-  // The gate workload: a scaled surrogate where per-round |V| rescans
-  // dominate the legacy engine.
   hp::bio::CellzomeParams params = hp::bio::scaled_cellzome_params(proteins);
   const hp::hyper::Hypergraph big =
       hp::bio::cellzome_surrogate(params).hypergraph;
@@ -350,36 +175,31 @@ int run_frontier_ablation(const hp::Args& args) {
               static_cast<unsigned long long>(big.num_edges()),
               static_cast<unsigned long long>(big.num_pins()));
 
-  // Self-check 2 (gate scale): one full run per engine, compared
-  // bit-for-bit.
+  // Self-check 2 (scale): one lane and all lanes, compared bit for bit.
+  hp::hyper::PeelStats stats;
   {
-    const auto frontier = hp::hyper::core_decomposition_parallel(big);
-    const auto scan = hp::hyper::core_decomposition_parallel_scan(big);
-    if (!bit_identical(frontier, scan)) {
-      std::fprintf(stderr, "frontier ablation: engines disagree on the "
-                           "scaled surrogate -- refusing to time\n");
+    const auto all_lanes = hp::hyper::core_decomposition(big, &stats);
+    if (!bit_identical(all_lanes, one_lane_peel(big))) {
+      std::fprintf(stderr, "lane ablation: one lane and all lanes disagree "
+                           "on the scaled surrogate -- refusing to time\n");
       return 1;
     }
-    std::printf("self-check ok: engines bit-identical (max_core = %u)\n",
-                static_cast<unsigned>(frontier.max_core));
+    std::printf("self-check ok: lane counts bit-identical (max_core = %u)\n",
+                static_cast<unsigned>(all_lanes.max_core));
   }
 
-  hp::hyper::PeelStats frontier_stats;
-  const double frontier_seconds = best_seconds(reps, [&] {
-    return hp::hyper::core_decomposition_parallel(big, 0, &frontier_stats);
-  });
-  hp::hyper::PeelStats scan_stats;
-  const double scan_seconds = best_seconds(reps, [&] {
-    return hp::hyper::core_decomposition_parallel_scan(big, 0, &scan_stats);
-  });
+  const double one_lane_seconds =
+      best_seconds(reps, [&] { return one_lane_peel(big); });
+  const double all_lanes_seconds = best_seconds(
+      reps, [&] { return hp::hyper::core_decomposition(big); });
   const double speedup =
-      frontier_seconds > 0.0 ? scan_seconds / frontier_seconds : 0.0;
+      all_lanes_seconds > 0.0 ? one_lane_seconds / all_lanes_seconds : 0.0;
 
-  std::printf("scan-and-stamp: %.3fs   frontier: %.3fs   speedup: %.2fx\n",
-              scan_seconds, frontier_seconds, speedup);
+  std::printf("one lane: %.3fs   all lanes: %.3fs   speedup: %.2fx\n",
+              one_lane_seconds, all_lanes_seconds, speedup);
   std::printf("frontier pushes: %llu   wasted: %llu\n",
-              static_cast<unsigned long long>(frontier_stats.frontier_pushes),
-              static_cast<unsigned long long>(frontier_stats.frontier_wasted));
+              static_cast<unsigned long long>(stats.frontier_pushes),
+              static_cast<unsigned long long>(stats.frontier_wasted));
 
   if (!json_path.empty()) {
     std::ofstream out{json_path};
@@ -391,12 +211,11 @@ int run_frontier_ablation(const hp::Args& args) {
         << "  \"num_vertices\": " << big.num_vertices() << ",\n"
         << "  \"num_edges\": " << big.num_edges() << ",\n"
         << "  \"self_check\": true,\n"
-        << "  \"scan_seconds\": " << scan_seconds << ",\n"
-        << "  \"frontier_seconds\": " << frontier_seconds << ",\n"
-        << "  \"frontier_speedup\": " << speedup << ",\n"
-        << "  \"frontier_pushes\": " << frontier_stats.frontier_pushes
-        << ",\n"
-        << "  \"frontier_wasted\": " << frontier_stats.frontier_wasted
+        << "  \"one_lane_seconds\": " << one_lane_seconds << ",\n"
+        << "  \"all_lanes_seconds\": " << all_lanes_seconds << ",\n"
+        << "  \"lane_speedup\": " << speedup << ",\n"
+        << "  \"frontier_pushes\": " << stats.frontier_pushes << ",\n"
+        << "  \"frontier_wasted\": " << stats.frontier_wasted
         << "\n}\n";
     std::printf("wrote %s\n", json_path.c_str());
   }
@@ -410,7 +229,7 @@ int main(int argc, char** argv) {
   // without them this is a normal google-benchmark binary.
   const hp::Args args{argc, argv};
   if (args.get_bool("quick", false) || !args.get("json", "").empty()) {
-    return run_frontier_ablation(args);
+    return run_lane_ablation(args);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

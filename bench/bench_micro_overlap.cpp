@@ -1,4 +1,4 @@
-// Ablation: FlatOverlapTracker (CSR-of-rows substrate) vs the legacy
+// Ablation: OverlapTable (CSR-of-rows) vs the legacy
 // one-unordered_map-per-edge overlap rows it replaced.
 //
 // Two axes on the same random-hypergraph sweep bench_micro_kcore uses
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "bio/cellzome_synth.hpp"
-#include "core/peel/flat_overlap.hpp"
+#include "core/overlap.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -49,7 +49,7 @@ const hp::hyper::Hypergraph& cellzome() {
 
 using MapRows = std::vector<std::unordered_map<hp::index_t, hp::index_t>>;
 
-/// The retired OverlapTable construction: one hash map per edge row.
+/// The retired overlap construction: one hash map per edge row.
 MapRows build_map_rows(const hp::hyper::Hypergraph& h) {
   MapRows rows(h.num_edges());
   for (hp::index_t v = 0; v < h.num_vertices(); ++v) {
@@ -83,9 +83,9 @@ void BM_FlatOverlapBuild(benchmark::State& state) {
                                    8);
   std::size_t bytes = 0;
   for (auto _ : state) {
-    const hp::hyper::FlatOverlapTracker tracker{h};
-    benchmark::DoNotOptimize(&tracker);
-    bytes = tracker.storage_bytes();
+    const hp::hyper::OverlapTable table{h};
+    benchmark::DoNotOptimize(&table);
+    bytes = table.storage_bytes();
   }
   state.counters["bytes"] = static_cast<double>(bytes);
   state.SetComplexityN(state.range(0));
@@ -111,9 +111,9 @@ void BM_FlatOverlapBuildCellzome(benchmark::State& state) {
   const auto& h = cellzome();
   std::size_t bytes = 0;
   for (auto _ : state) {
-    const hp::hyper::FlatOverlapTracker tracker{h};
-    benchmark::DoNotOptimize(&tracker);
-    bytes = tracker.storage_bytes();
+    const hp::hyper::OverlapTable table{h};
+    benchmark::DoNotOptimize(&table);
+    bytes = table.storage_bytes();
   }
   state.counters["bytes"] = static_cast<double>(bytes);
 }

@@ -9,8 +9,8 @@
 //   * all-sources BFS -- hyper::path_summary, the gate workload: CI
 //     requires >= 3x on an 8-core machine (scripts/ci.sh enforces this
 //     only when the host actually has >= 8 hardware threads);
-//   * parallel k-core -- core_decomposition_parallel's containment
-//     scans;
+//   * parallel k-core -- core_decomposition's bulk frontier rounds and
+//     containment sweeps;
 //   * context prefetch -- AnalysisContext::prefetch() fanning artifact
 //     builds across the pool vs building the slots one by one.
 //
@@ -26,7 +26,7 @@
 
 #include "bio/cellzome_synth.hpp"
 #include "core/context/analysis_context.hpp"
-#include "core/kcore_parallel.hpp"
+#include "core/kcore.hpp"
 #include "core/traversal.hpp"
 #include "mm/mm_synth.hpp"
 #include "mm/mm_to_hypergraph.hpp"
@@ -102,10 +102,10 @@ InstanceTiming run_instance(const std::string& name, const Hypergraph& h,
   }));
 
   out.workloads.push_back(ablate("parallel k-core", reps, [&] {
-    const hp::hyper::HyperCoreResult r =
-        hp::hyper::core_decomposition_parallel(h);
+    const hp::hyper::HyperCoreResult r = hp::hyper::core_decomposition(h);
     std::uint64_t token = r.max_core;
     for (hp::index_t core : r.vertex_core) token = token * 31 + core;
+    for (hp::index_t core : r.edge_core) token = token * 31 + core;
     return token;
   }));
 

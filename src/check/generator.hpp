@@ -5,7 +5,7 @@
 // the peeling substrate, the loaders, and the projections have distinct
 // code paths: duplicate and nested hyperedges (containment cascades),
 // empty-ish instances (0 vertices, 0 edges, all-isolated), singleton
-// edges, near-clique overlap (dense FlatOverlapTracker rows), power-law
+// edges, near-clique overlap (dense containment sweeps), power-law
 // degree mixes (hub vertices), and Cellzome-style pulldown structure.
 // Every instance is a deterministic function of a 64-bit seed, so a
 // failing seed printed by hp_fuzz is a complete reproducer.

@@ -12,7 +12,6 @@
 #include "core/hypergraph_io.hpp"
 #include "core/kcore.hpp"
 #include "core/kcore_naive.hpp"
-#include "core/kcore_parallel.hpp"
 #include "core/multicover.hpp"
 #include "core/overlap.hpp"
 #include "core/pajek.hpp"
@@ -27,6 +26,7 @@
 #include "graph/graph_kcore.hpp"
 #include "mm/matrix_market.hpp"
 #include "mm/mm_to_hypergraph.hpp"
+#include "par/thread_pool.hpp"
 
 namespace hp::check {
 
@@ -39,12 +39,12 @@ void fail(std::vector<CheckFailure>& failures, const char* oracle,
   failures.push_back(CheckFailure{oracle, std::move(detail)});
 }
 
-/// Compare two core decompositions field-by-field (edge_core is
-/// deliberately excluded: the representative choice among identical
-/// residual edges is implementation-defined, see kcore.hpp).
-void diff_cores(const hyper::HyperCoreResult& a,
-                const hyper::HyperCoreResult& b, const char* label,
-                std::vector<CheckFailure>& failures) {
+/// Compare two core decompositions on every field: the lowest-id rule
+/// for identical residual edges (kcore.hpp) makes the result a function
+/// of the input, so edge cores and reduction masks must match too.
+void diff_cores_exact(const hyper::HyperCoreResult& a,
+                      const hyper::HyperCoreResult& b, const char* label,
+                      std::vector<CheckFailure>& failures) {
   if (a.max_core != b.max_core) {
     fail(failures, "core_agreement",
          std::string{label} + ": max_core " + std::to_string(a.max_core) +
@@ -62,15 +62,6 @@ void diff_cores(const hyper::HyperCoreResult& a,
     fail(failures, "core_agreement",
          std::string{label} + ": per-level edge counts differ");
   }
-}
-
-/// Stricter comparison for same-discipline engine pairs (frontier vs
-/// legacy scan seeding): those are required to be fully bit-identical,
-/// including the edge representative choice and the reduction mask.
-void diff_cores_exact(const hyper::HyperCoreResult& a,
-                      const hyper::HyperCoreResult& b, const char* label,
-                      std::vector<CheckFailure>& failures) {
-  diff_cores(a, b, label, failures);
   if (a.edge_core != b.edge_core) {
     fail(failures, "core_agreement",
          std::string{label} + ": edge core numbers differ");
@@ -106,16 +97,15 @@ void check_core_agreement(const Hypergraph& h, bool with_naive,
                           std::vector<CheckFailure>& failures) {
   const hyper::HyperCoreResult fast = hyper::core_decomposition(h);
   if (with_naive) {
-    diff_cores(fast, hyper::core_decomposition_naive(h), "naive", failures);
+    diff_cores_exact(fast, hyper::core_decomposition_naive(h), "naive",
+                     failures);
   }
-  const hyper::HyperCoreResult parallel = hyper::core_decomposition_parallel(h);
-  diff_cores(fast, parallel, "parallel", failures);
-  // Frontier engines vs their legacy scan-seeded twins: these share the
-  // cascade code and must agree on every byte of the result.
-  diff_cores_exact(fast, hyper::core_decomposition_scan(h), "frontier-vs-scan",
-                   failures);
-  diff_cores_exact(parallel, hyper::core_decomposition_parallel_scan(h),
-                   "par-frontier-vs-scan", failures);
+  // The lane count must not change a single field.
+  {
+    par::LaneLimit one_lane{1};
+    diff_cores_exact(fast, hyper::core_decomposition(h), "one-lane",
+                     failures);
+  }
 
   // Level counts must match the per-vertex representation, and cores
   // are nested, so the counts are non-increasing in k.
@@ -284,15 +274,16 @@ void check_projections(const Hypergraph& h,
   // when |f ∩ g| >= 1.
   const hyper::OverlapTable overlaps{h};
   for (index_t f = 0; f < h.num_edges(); ++f) {
-    const auto row = overlaps.row(f);
-    if (row.size() != intersection.degree(f)) {
+    if (overlaps.degree2(f) != intersection.degree(f)) {
       fail(failures, "projections",
            "intersection-graph degree of f" + std::to_string(f) +
                " != overlap-table degree2");
       return;
     }
-    for (auto [g, count] : row) {
-      if (count == 0 || !intersection.has_edge(f, g)) {
+    const auto row = overlaps.neighbors(f);
+    const auto counts = overlaps.counts(f);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (counts[i] == 0 || !intersection.has_edge(f, row[i])) {
         fail(failures, "projections",
              "overlap table and intersection graph disagree");
         return;
@@ -390,7 +381,7 @@ void check_context(const Hypergraph& h, std::vector<CheckFailure>& failures) {
     fail(failures, "context", "cached reduced != cold reduce");
   }
   const hyper::HyperCoreResult cold = hyper::core_decomposition(h);
-  diff_cores(context.cores(), cold, "context-vs-cold", failures);
+  diff_cores_exact(context.cores(), cold, "context-vs-cold", failures);
 
   const hyper::HypergraphSummary cached = context.summary();
   const hyper::HypergraphSummary cold_summary = hyper::summarize(h);

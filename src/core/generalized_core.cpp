@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "core/peel/frontier.hpp"
 #include "core/peel/residual.hpp"
+#include "util/lazy_heap.hpp"
 
 namespace hp::hyper {
 
@@ -101,13 +101,12 @@ GeneralizedCoreResult generalized_core(const Hypergraph& h,
   residual.bind_stats(&local);
   const MeasurePolicy policy{h, residual, measure};
   std::vector<double> current(n);
-  // Same frontier discipline as the k-core engine, in measure space:
-  // the shared lazy-deletion heap skips stale snapshots at pop time
-  // (counted as frontier_wasted) instead of locating entries to update,
-  // and pushes only vertices whose measure actually changed. Selection
-  // order is bit-identical to the historical hand-rolled heap -- same
-  // comparator, same tie-break, same staleness rule.
-  LazyPeelHeap heap{&local};
+  // Lazy frontier in measure space: measures only fall, and every change
+  // pushes a fresh entry, so the shared lazy-deletion heap drops the
+  // superseded snapshots at pop time (counted as frontier_wasted)
+  // instead of locating entries to update. Ties break toward the lower
+  // vertex id.
+  LazyMinHeap heap;
   for (index_t v = 0; v < n; ++v) {
     current[v] = policy.evaluate(v);
     heap.push(v, current[v]);
@@ -115,10 +114,9 @@ GeneralizedCoreResult generalized_core(const Hypergraph& h,
 
   double running_max = 0.0;
   while (residual.live_vertices() > 0) {
-    const index_t v = heap.pop_min(
+    const index_t v = heap.pop_current(
         [&](index_t w) { return current[w]; },
         [&](index_t w) { return residual.vertex_alive(w); });
-    if (v == kInvalidIndex) break;  // unreachable: live vertices remain
     running_max = std::max(running_max, current[v]);
     result.value[v] = running_max;
     for (index_t w : remove_vertex(residual, v)) {
@@ -130,6 +128,8 @@ GeneralizedCoreResult generalized_core(const Hypergraph& h,
     }
   }
   result.max_value = running_max;
+  local.frontier_pushes += heap.pushes();
+  local.frontier_wasted += heap.discarded();
   if (stats != nullptr) *stats += local;
   return result;
 }

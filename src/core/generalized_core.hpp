@@ -47,7 +47,7 @@ struct GeneralizedCoreResult {
 /// smallest current measure; the running maximum of removal measures is
 /// each vertex's core value (the standard generalized-core algorithm).
 /// O(|E| * Delta_V + |V| log |V|)-ish with a lazy heap (the shared
-/// instrumented LazyPeelHeap from core/peel/frontier.hpp).
+/// util/lazy_heap.hpp LazyMinHeap).
 GeneralizedCoreResult generalized_core(const Hypergraph& h,
                                        CoreMeasure measure);
 

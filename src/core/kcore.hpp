@@ -8,17 +8,25 @@
 // hyperedge is deleted as soon as it stops being maximal (including the
 // special case of becoming empty).
 //
-// Non-maximality is detected without set comparisons by maintaining
-// pairwise overlap counts: hyperedge f is contained in a live hyperedge
-// g exactly when f's current cardinality equals its current overlap with
-// g. Complexity: O(|E| (Delta_2,F + Delta_V log Delta_2,F)) as analyzed
-// in the paper (hash maps here replace the paper's balanced trees, making
-// the log factor expected O(1)).
+// Non-maximality is detected without pairwise set comparisons by
+// overlap counting: hyperedge f is contained in a live hyperedge g
+// exactly when f's current cardinality equals its current overlap with
+// g (core/peel/containment.hpp).
 //
-// The decomposition runs the peel at k = 1, 2, ... on the shrinking
-// residual; core(x) = largest k such that x survives the level-k peel.
-// Cores are nested, and the maximum core is the largest k with a
-// non-empty residual.
+// The paper closes section 3 with "a parallel algorithm will need to be
+// designed"; this is one, and it is also the only engine. Each level k
+// is a bulk-synchronous decrement-and-filter loop (the shape of Blaze's
+// k-core, SNIPPETS.md section 2): every round removes the whole
+// sub-threshold frontier at once on the shared pool (src/par/), then
+// re-checks maximality only for the edges that shrank, and the degree
+// drops of the edges it deletes feed the next round. Level seeds drain
+// from lazy degree buckets (core/peel/frontier.hpp), so no level rescans
+// |V|. core(x) = largest k such that x survives the level-k peel; cores
+// are nested, and the maximum core is the largest k with a non-empty
+// residual.
+//
+// Lane count (par::LaneLimit, HP_THREADS) never changes the result: one
+// lane runs the same rounds serially inline.
 #pragma once
 
 #include <vector>
@@ -34,9 +42,10 @@ struct HyperCoreResult {
   /// (0 = not even in the 1-core, e.g. an isolated vertex).
   std::vector<index_t> vertex_core;
   /// edge_core[e] = largest k such that e belongs (as a residual edge)
-  /// to the k-core. For groups of hyperedges that become identical during
-  /// peeling, only one representative keeps the higher core value; which
-  /// one is implementation-defined, but the *count* per level is not.
+  /// to the k-core. When several hyperedges have identical residual
+  /// sets, the lowest id survives and the others are deleted -- the same
+  /// rule as the reduction and the naive reference (kcore_naive.hpp), so
+  /// the whole result is a function of the input alone.
   std::vector<index_t> edge_core;
   /// in_reduced[e] != 0 iff edge e survived the initial reduction (the
   /// level-0 residual). Not derivable from edge_core: reduction-removed
@@ -55,24 +64,15 @@ struct HyperCoreResult {
   std::vector<index_t> core_edges(index_t k) const;
 };
 
-/// Full core decomposition via the overlap-maintaining peel. Level
-/// seeds come from the lazy degree-bucket frontier engine
-/// (core/peel/frontier.hpp), so each level costs O(degree drops)
-/// instead of an O(|V|) rescan.
+/// Full core decomposition. Runs on the lanes the caller's
+/// par::LaneLimit (or HP_THREADS) allows; the result is identical on
+/// any lane count.
 HyperCoreResult core_decomposition(const Hypergraph& h);
 
-/// Instrumented variant: substrate counters (overlap decrements,
-/// containment probes, cascades, rounds, peak queue, frontier
-/// pushes/wasted) are accumulated into `*stats` when non-null.
+/// Instrumented variant: substrate counters (containment probes,
+/// deletions, cascade rounds, peak frontier, frontier pushes/wasted)
+/// are accumulated into `*stats` when non-null.
 HyperCoreResult core_decomposition(const Hypergraph& h, PeelStats* stats);
-
-/// Legacy scan-and-stamp engine: identical cascade, but every level
-/// rescans all |V| vertices for sub-threshold seeds. Kept as the
-/// differential-testing oracle for the frontier engine -- results are
-/// bit-identical (vertex_core, edge_core, levels, in_reduced) on every
-/// input; only the seeding cost differs.
-HyperCoreResult core_decomposition_scan(const Hypergraph& h,
-                                        PeelStats* stats = nullptr);
 
 /// Extract the k-core as a standalone hypergraph (residual hyperedges
 /// restricted to core vertices), with id maps back to the input.

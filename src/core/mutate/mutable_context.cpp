@@ -405,8 +405,8 @@ void MutableAnalysisContext::repair_cores() {
   std::sort(affected_e.begin(), affected_e.end());
 
   // Re-peel the affected components in isolation. Stable-ascending
-  // local ids keep the relative vertex/edge order of the full peel, so
-  // the LIFO schedule and duplicate-representative tiebreaks coincide.
+  // local ids keep the relative edge order of the full peel, so the
+  // lowest-id rule picks the same duplicate representatives.
   if (vertex_local_.size() < vertex_mark_.size()) {
     vertex_local_.resize(vertex_mark_.size(), 0);
   }

@@ -22,12 +22,12 @@
 // Correctness of the bounded core repair rests on peeling being
 // component-local: overlaps and containment require shared vertices, so
 // the global peel restricted to one component is exactly that
-// component's own peel (including the LIFO pop order and the
-// duplicate-representative tiebreak, which interleave across components
-// without affecting within-component order). After a mutation, any
-// current component containing no seed (dirty vertex or member of a
-// dirty edge) is provably an unchanged old component, so re-peeling the
-// seeded components and splicing is bit-identical to a full re-peel.
+// component's own peel (including the lowest-id rule for duplicate
+// representatives, which only compares ids within a component). After a
+// mutation, any current component containing no seed (dirty vertex or
+// member of a dirty edge) is provably an unchanged old component, so
+// re-peeling the seeded components and splicing is bit-identical to a
+// full re-peel.
 // The differential fuzz oracle (src/check/mutation.hpp) holds this to
 // account on thousands of random mutation traces.
 //

@@ -1,96 +1,74 @@
-// Pairwise hyperedge overlap table -- adapter over the flat substrate.
+// Pairwise hyperedge overlap table (CSR-of-rows).
 //
 // overlap(f, g) = |f ∩ g| is the quantity the paper's k-core algorithm
-// maintains instead of comparing vertex sets: an edge f is contained in g
-// exactly when its current cardinality equals its current overlap with g.
-// The table also yields degree-2 statistics: d2(f) = number of hyperedges
-// sharing at least one vertex with f (Delta_2,F = max over f), and d2(v)
-// = number of distinct other vertices co-occurring with v, both of which
-// appear in the paper's complexity bounds and in Table 1.
+// reasons about: an edge f is contained in g exactly when its current
+// cardinality equals its current overlap with g. The table also yields
+// degree-2 statistics: d2(f) = number of hyperedges sharing at least
+// one vertex with f (Delta_2,F = max over f), and d2(v) = number of
+// distinct other vertices co-occurring with v, both of which appear in
+// the paper's complexity bounds and in Table 1.
 //
-// Adapter status: storage and lookups live in FlatOverlapTracker
-// (core/peel/flat_overlap.hpp), the CSR-of-rows structure the peeling
-// substrate mutates. This class is the stable read-only facade kept for
-// stats.cpp / Table-1 reporting, the s-overlap census and their tests;
-// new peeling code should use the tracker directly.
+// Read-only after construction. Every row lives in two contiguous
+// arrays addressed by per-row offsets:
+//
+//   offsets_:   |F|+1 row starts
+//   neighbors_: row f = sorted ids of edges overlapping f
+//   counts_:    counts_[s] = |f ∩ neighbors_[s]| (always >= 1)
+//
+// so point lookups are binary searches and row sweeps are contiguous.
+// Consumers: Table-1 statistics, the s-overlap census, the analysis
+// context and its byte accounting.
 #pragma once
 
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "core/hypergraph.hpp"
-#include "core/peel/flat_overlap.hpp"
 
 namespace hp::hyper {
 
-/// Sparse symmetric table of nonzero pairwise overlaps.
 class OverlapTable {
  public:
-  /// Build from the incidence lists in O(sum_v d(v)^2) time.
-  explicit OverlapTable(const Hypergraph& h) : tracker_(h) {}
+  /// Build from incidence lists in O(sum_f sum_{v in f} d(v)) time.
+  explicit OverlapTable(const Hypergraph& h);
+
+  index_t num_edges() const {
+    return static_cast<index_t>(offsets_.empty() ? 0 : offsets_.size() - 1);
+  }
+
+  /// Sorted ids of the edges (other than f) that overlap f.
+  std::span<const index_t> neighbors(index_t f) const {
+    return {neighbors_.data() + offsets_[f],
+            neighbors_.data() + offsets_[f + 1]};
+  }
+
+  /// Overlap sizes, parallel to neighbors(f).
+  std::span<const index_t> counts(index_t f) const {
+    return {counts_.data() + offsets_[f], counts_.data() + offsets_[f + 1]};
+  }
 
   /// |f ∩ g|; zero when disjoint or f == g.
-  index_t overlap(index_t f, index_t g) const {
-    return tracker_.overlap(f, g);
-  }
-
-  /// Row of f viewed as (g, overlap) pairs over all g (!= f) with
-  /// overlap(f, g) > 0, in ascending g.
-  class RowView {
-   public:
-    class iterator {
-     public:
-      iterator(const index_t* g, const index_t* ov) : g_(g), ov_(ov) {}
-      std::pair<index_t, index_t> operator*() const { return {*g_, *ov_}; }
-      iterator& operator++() {
-        ++g_;
-        ++ov_;
-        return *this;
-      }
-      bool operator!=(const iterator& other) const { return g_ != other.g_; }
-
-     private:
-      const index_t* g_;
-      const index_t* ov_;
-    };
-    RowView(std::span<const index_t> neighbors,
-            std::span<const index_t> counts)
-        : neighbors_(neighbors), counts_(counts) {}
-    iterator begin() const {
-      return {neighbors_.data(), counts_.data()};
-    }
-    iterator end() const {
-      return {neighbors_.data() + neighbors_.size(),
-              counts_.data() + counts_.size()};
-    }
-    std::size_t size() const { return neighbors_.size(); }
-
-   private:
-    std::span<const index_t> neighbors_;
-    std::span<const index_t> counts_;
-  };
-
-  RowView row(index_t f) const {
-    return {tracker_.neighbors(f), tracker_.counts(f)};
-  }
+  index_t overlap(index_t f, index_t g) const;
 
   /// d2(f): number of hyperedges overlapping f.
-  index_t degree2(index_t f) const { return tracker_.degree2(f); }
+  index_t degree2(index_t f) const {
+    return static_cast<index_t>(offsets_[f + 1] - offsets_[f]);
+  }
 
   /// Delta_2,F: max degree2 over all hyperedges (0 if no edges).
-  index_t max_degree2() const { return tracker_.max_degree2(); }
+  index_t max_degree2() const;
 
-  index_t num_edges() const { return tracker_.num_edges(); }
-
-  /// Bytes held by the underlying flat arrays.
-  std::size_t storage_bytes() const { return tracker_.storage_bytes(); }
-
-  /// The underlying substrate structure (for peeling code migrating off
-  /// the adapter).
-  const FlatOverlapTracker& tracker() const { return tracker_; }
+  /// Bytes held by the CSR arrays (footprint reporting / benches).
+  std::size_t storage_bytes() const {
+    return offsets_.size() * sizeof(offsets_[0]) +
+           neighbors_.size() * sizeof(neighbors_[0]) +
+           counts_.size() * sizeof(counts_[0]);
+  }
 
  private:
-  FlatOverlapTracker tracker_;
+  std::vector<std::size_t> offsets_;
+  std::vector<index_t> neighbors_;
+  std::vector<index_t> counts_;
 };
 
 /// d2(v): number of distinct vertices other than v sharing a hyperedge

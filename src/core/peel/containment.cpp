@@ -7,34 +7,6 @@
 
 namespace hp::hyper {
 
-index_t find_container(const ResidualHypergraph& residual,
-                       const FlatOverlapTracker& overlaps, index_t f,
-                       PeelStats* stats) {
-  const index_t size_f = residual.edge_size(f);
-  if (size_f == 0) {
-    // Empty residual set: "contained" sentinel. Counted as one probe so
-    // that probes >= cascaded deletions holds.
-    if (stats != nullptr) ++stats->containment_probes;
-    return f;
-  }
-  const auto row = overlaps.neighbors(f);
-  const auto counts = overlaps.counts(f);
-  index_t container = kInvalidIndex;
-  std::size_t probes = 0;
-  for (std::size_t s = 0; s < row.size(); ++s) {
-    ++probes;
-    const index_t g = row[s];
-    const index_t ov = counts[s];
-    if (!residual.edge_alive(g) || ov == 0) continue;
-    if (ov == size_f) {  // f subset of (or equal to) g
-      container = g;
-      break;
-    }
-  }
-  if (stats != nullptr) stats->containment_probes += probes;
-  return container;
-}
-
 std::vector<index_t> find_non_maximal(const ResidualHypergraph& residual,
                                       std::span<const index_t> candidates,
                                       PeelStats* stats) {
@@ -67,27 +39,38 @@ std::vector<index_t> find_non_maximal(const ResidualHypergraph& residual,
         ++s.probes;
         continue;
       }
+      // Overlap counting restricted to the edges that can still win: a
+      // container of f passes through f's first live member, so only
+      // those live edges (strictly larger, or equal-sized with a lower
+      // id -- identical residual sets keep the lowest id) get counters.
+      // A counter survives a member only if that edge holds it too; f
+      // is contained once some counter reaches size_f, and maximal as
+      // soon as a member leaves no counter standing.
       s.seen.clear();
       bool contained = false;
+      index_t matched = 0;  // live members of f swept so far
       for (index_t w : h.vertices_of(f)) {
         if (!residual.vertex_alive(w)) continue;
+        index_t survivors = 0;
         for (index_t g : h.edges_of(w)) {
           if (g == f || !residual.edge_alive(g)) continue;
           ++s.probes;
-          if (s.count[g] == 0) s.seen.push_back(g);
-          ++s.count[g];
-          if (s.count[g] == size_f) {
-            // f's residual set lies inside g's. Strict containment
-            // always dooms f; identical residual sets keep the lowest
-            // id (deterministic under any schedule).
+          if (matched == 0) {
             const index_t size_g = residual.edge_size(g);
-            if (size_g > size_f || (size_g == size_f && g < f)) {
-              contained = true;
-              break;
-            }
+            if (size_g < size_f || (size_g == size_f && g > f)) continue;
+            s.seen.push_back(g);
+          } else if (s.count[g] != matched) {
+            continue;
           }
+          ++s.count[g];
+          ++survivors;
         }
-        if (contained) break;
+        ++matched;
+        if (survivors == 0) break;
+        if (matched == size_f) {
+          contained = true;
+          break;
+        }
       }
       for (index_t g : s.seen) s.count[g] = 0;
       if (contained) doomed[f].store(1, std::memory_order_relaxed);

@@ -1,11 +1,11 @@
-// Frontier-driven peeling engine shared by every peel policy.
+// Frontier maintenance for the k-core peel (core/kcore.cpp).
 //
-// Historically each peel level (and each bulk cascade round) re-scanned
-// all |V| vertices to find the sub-threshold frontier -- fine at the
-// paper's 1,361 proteins, ruinous at the 10^6-10^7-vertex surrogates
-// the benchmarks now drive. This module replaces the scans with
-// work-proportional frontier maintenance (the decrement-and-filter
-// shape of Blaze's k-core EdgeMap/VertexMap, SNIPPETS.md section 2):
+// Rescanning all |V| vertices for the sub-threshold frontier at every
+// peel level and cascade round is fine at the paper's 1,361 proteins
+// and ruinous at the 10^6-10^7-vertex surrogates the benchmarks drive.
+// This module keeps the frontier work-proportional instead (the
+// decrement-and-filter shape of Blaze's k-core EdgeMap/VertexMap,
+// SNIPPETS.md section 2):
 //
 //   * FrontierBuckets -- a lazy bucket queue keyed by residual degree.
 //     Every degree drop pushes a (vertex, new-degree) entry into
@@ -17,25 +17,19 @@
 //     O(drops) total cost instead of O(levels * |V|).
 //
 //   * LaneDropBags -- per-pool-lane bags of degree-drop records for the
-//     bulk-synchronous parallel peel. Lanes append race-free to their
-//     own bag while edge deletions decrement degrees atomically; the
-//     driver drains all bags between rounds, splitting drops into the
-//     in-level frontier (new degree < k) and FrontierBuckets (future
-//     levels).
+//     bulk-synchronous peel. Lanes append race-free to their own bag
+//     while edge deletions decrement degrees atomically; the peel loop
+//     drains all bags between rounds, splitting drops into the in-level
+//     frontier (new degree < k) and FrontierBuckets (future levels).
 //
 //   * EpochStamps -- |F|-sized claim marks for deduplicating the
 //     touched-edge set a parallel round produces. Bumping the epoch
 //     invalidates all stamps in O(1), so rounds never clear the array.
 //
-//   * LazyPeelHeap -- the measure-driven (generalized-core) flavor of
-//     the same discipline: a lazy-deletion heap over double-valued
-//     measures where stale entries are skipped at pop time instead of
-//     being located and updated in place.
-//
-// All four report into PeelStats (frontier_pushes / frontier_wasted),
-// so the engine's work-proportionality is observable: pushes are
-// bounded by |pins| + |V| per decomposition, and wasted counts exactly
-// the lazy slack.
+// The buckets and the bags report into PeelStats (frontier_pushes /
+// frontier_wasted), so the engine's work-proportionality is
+// observable: pushes are bounded by |pins| + |V| per decomposition, and
+// wasted counts exactly the lazy slack.
 //
 // The shared initial-reduction fixpoint (erase_non_maximal) also lives
 // here: it re-seeds containment candidates from the just-doomed edges'
@@ -44,19 +38,12 @@
 // linear instead of quadratic.
 #pragma once
 
-#include <queue>
 #include <vector>
 
 #include "core/peel/peel_stats.hpp"
 #include "core/peel/residual.hpp"
 
 namespace hp::hyper {
-
-/// Seed-discipline selector for the k-core peelers. kFrontier is the
-/// production engine; kScan is the legacy rescan-every-level loop, kept
-/// as the differential-testing oracle (the two must stay bit-identical;
-/// tests/core/test_frontier_peel.cpp enforces it).
-enum class PeelEngine { kFrontier, kScan };
 
 /// Lazy bucket queue over vertices keyed by residual degree.
 ///
@@ -80,9 +67,9 @@ class FrontierBuckets {
   }
 
   /// Drain every bucket strictly below `level`, appending entries that
-  /// pass `valid(v)` to `out` exactly once (duplicates are filtered via
-  /// `valid`, which the caller makes single-accepting, e.g. an in-queue
-  /// mark). Stale or duplicate entries count as frontier_wasted.
+  /// pass `valid(v)` to `out`; entries that fail it (stale) count as
+  /// frontier_wasted. A vertex pushed at several degrees below `level`
+  /// appears once per push, so the caller deduplicates `out`.
   /// Degrees never grow, so an entry in bucket d < level whose vertex is
   /// still alive is genuinely sub-threshold; buckets >= level are left
   /// untouched for later levels.
@@ -137,12 +124,6 @@ class LaneDropBags {
     }
   }
 
-  count_t total() const {
-    count_t n = 0;
-    for (const std::vector<DegreeDrop>& bag : bags_) n += bag.size();
-    return n;
-  }
-
  private:
   std::vector<std::vector<DegreeDrop>> bags_;
 };
@@ -163,50 +144,6 @@ class EpochStamps {
  private:
   std::vector<std::uint64_t> stamps_;  // accessed via std::atomic_ref
   std::uint64_t epoch_ = 0;
-};
-
-/// Lazy-deletion max-measure peeling heap for the generalized-core
-/// policy: entries are (measure, vertex) snapshots; pop_min re-checks
-/// each entry against the caller's current values and skips stale ones
-/// (counted as frontier_wasted) instead of performing decrease-key.
-/// Deterministic: ties break toward the lower vertex id, matching the
-/// historical priority_queue implementation bit for bit.
-class LazyPeelHeap {
- public:
-  explicit LazyPeelHeap(PeelStats* stats) : stats_(stats) {}
-
-  void push(index_t vertex, double key) {
-    heap_.push(Entry{key, vertex});
-    if (stats_ != nullptr) ++stats_->frontier_pushes;
-  }
-
-  /// Pop the minimum entry whose key still equals `current(vertex)` and
-  /// whose vertex passes `live(vertex)`. Returns kInvalidIndex when the
-  /// heap drains without a current entry.
-  template <typename CurrentFn, typename LiveFn>
-  index_t pop_min(CurrentFn&& current, LiveFn&& live) {
-    while (!heap_.empty()) {
-      const Entry top = heap_.top();
-      heap_.pop();
-      if (live(top.vertex) && top.key == current(top.vertex)) {
-        return top.vertex;
-      }
-      if (stats_ != nullptr) ++stats_->frontier_wasted;
-    }
-    return kInvalidIndex;
-  }
-
- private:
-  struct Entry {
-    double key;
-    index_t vertex;
-    bool operator>(const Entry& other) const {
-      if (key != other.key) return key > other.key;
-      return vertex > other.vertex;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
-  PeelStats* stats_;
 };
 
 /// Shared initial-reduction fixpoint: delete every non-maximal edge of

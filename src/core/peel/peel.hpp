@@ -1,9 +1,8 @@
-// Umbrella header for the peeling substrate: residual bookkeeping, flat
-// overlap tracking, containment detection and instrumentation. See the
+// Umbrella header for the peeling substrate: residual bookkeeping,
+// containment detection and instrumentation. See the
 // "Peeling substrate" section of DESIGN.md for the layer diagram.
 #pragma once
 
 #include "core/peel/containment.hpp"   // IWYU pragma: export
-#include "core/peel/flat_overlap.hpp"  // IWYU pragma: export
 #include "core/peel/peel_stats.hpp"    // IWYU pragma: export
 #include "core/peel/residual.hpp"      // IWYU pragma: export

@@ -2,17 +2,14 @@
 //
 // The paper's complexity claim for the k-core algorithm is
 // O(|E| (Delta_2,F + Delta_V log Delta_2,F)): the first term pays for
-// overlap maintenance (every pin deletion touches at most Delta_2,F
-// overlap entries), the second for containment detection. PeelStats
-// makes both terms observable: every algorithm built on the substrate
-// reports how many overlap decrements and containment probes it actually
-// performed, so the bound can be checked empirically (bench_micro_kcore,
+// overlap maintenance, the second for containment detection. The peel
+// recounts overlaps per shrunken edge instead of maintaining them, so
+// its containment probes carry both terms. PeelStats makes that work
+// observable, so it can be checked empirically (bench_micro_kcore,
 // bench_table1_cores) instead of trusted.
 //
 // Invariants maintained by the substrate (asserted by
 // tests/core/test_peel_substrate.cpp):
-//   * overlap_decrements is even -- overlaps are symmetric and always
-//     decremented in (f,g)/(g,f) pairs;
 //   * containment_probes >= cascaded_edge_deletions -- an edge is only
 //     deleted mid-peel after a probe found a container (or found the
 //     edge empty, which counts as one probe);
@@ -27,10 +24,13 @@
 namespace hp::hyper {
 
 struct PeelStats {
-  /// Single (f,g) overlap-entry decrements; symmetric pairs count twice.
+  /// Single (f,g) overlap-entry decrements. Reads 0 for core
+  /// decompositions: the peel recounts overlaps per shrunken edge
+  /// (containment_probes) instead of maintaining a pairwise table. Kept
+  /// because the perfbench probes and the "peel.*" metric set report it.
   count_t overlap_decrements = 0;
-  /// Overlap entries (or per-candidate counter bumps in bulk sweeps)
-  /// examined while testing edges for containment.
+  /// Live incident edges examined by the containment sweep
+  /// (find_non_maximal) while testing edges for maximality.
   count_t containment_probes = 0;
   /// Vertices removed from the residual hypergraph.
   count_t vertex_deletions = 0;
@@ -39,8 +39,8 @@ struct PeelStats {
   /// Hyperedges removed during a level >= 1 peel, i.e. deletions
   /// cascading from vertex removals rather than input non-maximality.
   count_t cascaded_edge_deletions = 0;
-  /// Peel rounds: levels processed by sequential peels, frontier rounds
-  /// by bulk-synchronous peels.
+  /// Peel rounds: bulk frontier rounds of the k-core peel (a level with
+  /// no sub-threshold vertex costs none).
   count_t peel_rounds = 0;
   /// Largest work-queue (or frontier) population observed.
   count_t peak_queue_length = 0;

@@ -15,8 +15,10 @@ graph::Graph s_intersection_graph(const OverlapTable& table, index_t s) {
   HP_REQUIRE(s >= 1, "s_intersection_graph: s must be >= 1");
   graph::GraphBuilder builder{table.num_edges()};
   for (index_t f = 0; f < table.num_edges(); ++f) {
-    for (const auto& [g, ov] : table.row(f)) {
-      if (f < g && ov >= s) builder.add_edge(f, g);
+    const auto row = table.neighbors(f);
+    const auto counts = table.counts(f);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (f < row[i] && counts[i] >= s) builder.add_edge(f, row[i]);
     }
   }
   return builder.build();
@@ -66,10 +68,7 @@ index_t max_meaningful_s(const Hypergraph& h) {
 index_t max_meaningful_s(const OverlapTable& table) {
   index_t best = 0;
   for (index_t f = 0; f < table.num_edges(); ++f) {
-    for (const auto& [g, ov] : table.row(f)) {
-      (void)g;
-      best = std::max(best, ov);
-    }
+    for (index_t ov : table.counts(f)) best = std::max(best, ov);
   }
   return best;
 }

@@ -1,12 +1,19 @@
-// Lazy-deletion binary min-heap keyed by double, for the greedy
-// set-cover / vertex-cover algorithm (Fig. 5 of the paper).
+// Lazy-deletion binary min-heap keyed by double: the one priority queue
+// behind the greedy covers (Fig. 5 of the paper) and the
+// generalized-core peel.
 //
-// The greedy cover's per-vertex cost alpha(v) = w(v) / |adj(v) ∩ F_i| only
-// *increases* over the run (the uncovered-edge count shrinks). A lazy heap
-// therefore works: pop the minimum entry, recompute the item's current
-// key, and if the entry is stale re-push it with the fresh key. Each item
-// is re-pushed at most once per key change, so total work is
-// O(U log U) where U is the number of key updates.
+// Entries are (key, item) snapshots; nothing is located or updated in
+// place. pop_current() re-checks each surfacing entry against the
+// caller's current key:
+//   * key grew since the push (the cover's alpha(v) = w(v) / |adj(v) ∩
+//     F_i| only increases) -- re-push it with the fresh key;
+//   * key shrank since the push -- drop it: the caller pushes every
+//     decrease (the generalized core's measures only fall), so a fresher
+//     entry exists;
+//   * item no longer live -- drop it.
+// Each item is re-pushed at most once per key change, so total work is
+// O(U log U) where U is the number of key updates. Ties break toward
+// the lower item id, so pop order is deterministic.
 #pragma once
 
 #include <cstddef>
@@ -22,24 +29,35 @@ class LazyMinHeap {
  public:
   void push(index_t item, double key) {
     heap_.push(Entry{key, item});
+    ++pushes_;
   }
 
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
 
-  /// Pop entries until one whose stored key matches `current_key(item)`
-  /// surfaces; stale entries are re-pushed with their fresh key when
-  /// `still_live(item)` holds, otherwise dropped. Returns the item.
+  /// Entries inserted so far, refreshes included.
+  count_t pushes() const { return pushes_; }
+  /// Entries dropped as dead or superseded (always <= pushes()).
+  count_t discarded() const { return discarded_; }
+
+  /// Pop entries until one whose stored key equals `current_key(item)`
+  /// for a `still_live(item)` item surfaces, and return that item (the
+  /// live item with the smallest current key, lowest id on ties).
   /// Throws std::logic_error if the heap drains without a live entry.
   template <typename KeyFn, typename LiveFn>
   index_t pop_current(KeyFn&& current_key, LiveFn&& still_live) {
     while (!heap_.empty()) {
       const Entry top = heap_.top();
       heap_.pop();
-      if (!still_live(top.item)) continue;
-      const double fresh = current_key(top.item);
-      if (fresh <= top.key) return top.item;  // keys only grow: top is valid
-      heap_.push(Entry{fresh, top.item});
+      if (still_live(top.item)) {
+        const double fresh = current_key(top.item);
+        if (fresh == top.key) return top.item;
+        if (fresh > top.key) {
+          push(top.item, fresh);
+          continue;
+        }
+      }
+      ++discarded_;
     }
     throw std::logic_error{"LazyMinHeap: no live entries"};
   }
@@ -54,6 +72,8 @@ class LazyMinHeap {
     }
   };
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
+  count_t pushes_ = 0;
+  count_t discarded_ = 0;
 };
 
 }  // namespace hp

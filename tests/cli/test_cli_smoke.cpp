@@ -9,6 +9,7 @@
 #include "cli/commands.hpp"
 #include "obs/json_check.hpp"
 #include "obs/trace.hpp"
+#include "scratch_dir.hpp"
 
 namespace hp::cli {
 namespace {
@@ -23,15 +24,14 @@ Args make_args(std::initializer_list<const char*> argv) {
 class CliSmokeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    table_path_ = ::testing::TempDir() + "/cli_smoke_complexes.tsv";
     std::ofstream out(table_path_);
     out << "Arp23\tARP2\tARP3\tARC15\n"
         << "SAGA\tGCN5\tADA2\tSPT7\tARP2\n"
         << "ADA\tGCN5\tADA2\n";
   }
-  void TearDown() override { std::remove(table_path_.c_str()); }
 
-  std::string table_path_;
+  testutil::ScratchDir scratch_;  // removed with everything in it
+  std::string table_path_ = scratch_.file("cli_smoke_complexes.tsv");
 };
 
 TEST_F(CliSmokeTest, NoArgumentsPrintsUsageAndFails) {
@@ -119,7 +119,7 @@ TEST_F(CliSmokeTest, ReportContextStatsBuildsEachArtifactAtMostOnce) {
 }
 
 TEST_F(CliSmokeTest, TraceFlagWritesParseableChromeTrace) {
-  const std::string trace_path = ::testing::TempDir() + "/cli_smoke_trace.json";
+  const std::string trace_path = scratch_.file("cli_smoke_trace.json");
   std::ostringstream out;
   const int rc = run(
       make_args({"report", table_path_.c_str(), "--trace",
@@ -150,7 +150,7 @@ TEST_F(CliSmokeTest, TraceFlagWritesParseableChromeTrace) {
 
 TEST_F(CliSmokeTest, MetricsFlagWritesRegistryJson) {
   const std::string metrics_path =
-      ::testing::TempDir() + "/cli_smoke_metrics.json";
+      scratch_.file("cli_smoke_metrics.json");
   std::ostringstream out;
   const int rc = run(
       make_args({"core", table_path_.c_str(), "--metrics",
@@ -178,7 +178,7 @@ TEST_F(CliSmokeTest, MetricsFlagWritesRegistryJson) {
 
 TEST_F(CliSmokeTest, TracedCommandYieldsSingleConnectedSpanTree) {
   const std::string trace_path =
-      ::testing::TempDir() + "/cli_smoke_tree.json";
+      scratch_.file("cli_smoke_tree.json");
   std::ostringstream out;
   const int rc = run(
       make_args({"report", table_path_.c_str(), "--trace",
@@ -209,9 +209,9 @@ TEST_F(CliSmokeTest, TracedCommandYieldsSingleConnectedSpanTree) {
 // a trace of a failing run is precisely when you want one.
 TEST_F(CliSmokeTest, FailingCommandStillFlushesTraceAndMetrics) {
   const std::string trace_path =
-      ::testing::TempDir() + "/cli_smoke_err_trace.json";
+      scratch_.file("cli_smoke_err_trace.json");
   const std::string metrics_path =
-      ::testing::TempDir() + "/cli_smoke_err_metrics.json";
+      scratch_.file("cli_smoke_err_metrics.json");
   std::ostringstream out;
   const int rc = run(
       make_args({"stats", "/nonexistent/input.tsv", "--trace",
@@ -246,7 +246,7 @@ TEST_F(CliSmokeTest, FailingCommandStillFlushesTraceAndMetrics) {
 
 TEST_F(CliSmokeTest, ProfileFlagWritesFoldedFile) {
   const std::string profile_path =
-      ::testing::TempDir() + "/cli_smoke_profile.folded";
+      scratch_.file("cli_smoke_profile.folded");
   std::ostringstream out;
   const int rc = run(
       make_args({"report", table_path_.c_str(), "--profile",
@@ -271,8 +271,8 @@ TEST_F(CliSmokeTest, BadMetricsIntervalIsAUsageError) {
 }
 
 TEST_F(CliSmokeTest, MetricsIntervalWritesSeriesSinks) {
-  const std::string jsonl = ::testing::TempDir() + "/cli_smoke_series.jsonl";
-  const std::string prom = ::testing::TempDir() + "/cli_smoke_series.prom";
+  const std::string jsonl = scratch_.file("cli_smoke_series.jsonl");
+  const std::string prom = scratch_.file("cli_smoke_series.prom");
   std::remove(jsonl.c_str());
   std::ostringstream out;
   const int rc = run(

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/hypergraph_io.hpp"
+#include "scratch_dir.hpp"
 
 namespace hp::cli {
 namespace {
@@ -21,17 +22,15 @@ Args make_args(std::initializer_list<const char*> argv) {
 class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
-    table_path_ = dir_ + "/cli_complexes.tsv";
     std::ofstream out(table_path_);
     out << "Arp23\tARP2\tARP3\tARC15\n"
         << "SAGA\tGCN5\tADA2\tSPT7\tARP2\n"
         << "ADA\tGCN5\tADA2\n";
   }
-  void TearDown() override { std::remove(table_path_.c_str()); }
 
-  std::string dir_;
-  std::string table_path_;
+  testutil::ScratchDir scratch_;  // removed with everything in it
+  std::string dir_ = scratch_.path();
+  std::string table_path_ = scratch_.file("cli_complexes.tsv");
 };
 
 TEST_F(CliTest, LoadDatasetComplexTable) {

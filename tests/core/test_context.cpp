@@ -52,7 +52,11 @@ std::vector<std::vector<std::pair<index_t, index_t>>> overlap_rows(
   std::vector<std::vector<std::pair<index_t, index_t>>> rows;
   for (index_t f = 0; f < t.num_edges(); ++f) {
     std::vector<std::pair<index_t, index_t>> row;
-    for (const auto [g, ov] : t.row(f)) row.emplace_back(g, ov);
+    const auto neighbors = t.neighbors(f);
+    const auto counts = t.counts(f);
+    for (std::size_t i = 0; i < neighbors.size(); ++i) {
+      row.emplace_back(neighbors[i], counts[i]);
+    }
     rows.push_back(std::move(row));
   }
   return rows;

@@ -1,79 +1,40 @@
-// Differential battery for the frontier peeling engine
-// (core/peel/frontier.hpp).
+// Battery for the frontier peeling engine (core/kcore.cpp with
+// core/peel/frontier.hpp).
 //
-// Contract under test: the frontier engines (lazy degree-bucket seeding
-// sequentially, per-lane drop bags + atomic decrements in the bulk
-// parallel peel) are drop-in replacements for the legacy
-// scan-and-stamp loops. Same-discipline pairs -- frontier vs scan,
-// sequential and parallel separately -- must be FULLY bit-identical
-// (vertex_core, edge_core, in_reduced, levels, max_core); across
-// disciplines the usual agreement contract applies (edge representative
-// choice among identical residual sets may differ), checked against
-// the naive set-comparison oracle as well.
+// Contract under test: core_decomposition -- lazy degree-bucket level
+// seeds, per-lane drop bags and atomic decrements inside a level -- is
+// FULLY bit-identical to the naive set-comparison reference (vertex_core,
+// edge_core, in_reduced, levels, max_core) under one, two and sixteen
+// lanes, and its frontier accounting stays consistent.
 //
 // The 50-seed sweep runs the adversarial fuzz generator so every
 // structural regime (nested chains, duplicate chains, near-cliques,
 // power-law hubs, ...) exercises the bucket/bag plumbing; the pinned
 // cases cover the classic frontier traps (empty input, all-duplicate
-// edges, star hub, one giant edge). The suite name is wired into
-// HP_PAR_SUITE_FILTER, so the whole file re-runs at HP_THREADS=1 and
-// HP_THREADS=16 and under TSan in CI.
+// edges, star hub, one giant edge, the higher-id duplicate dying first).
+// The suite name is wired into HP_PAR_SUITE_FILTER, so the whole file
+// re-runs at HP_THREADS=1 and HP_THREADS=16 and under TSan in CI.
 #include <gtest/gtest.h>
 
 #include "check/generator.hpp"
 #include "core/kcore.hpp"
-#include "core/kcore_naive.hpp"
-#include "core/kcore_parallel.hpp"
 #include "test_helpers.hpp"
 
 namespace hp::hyper {
 namespace {
 
-void expect_bit_identical(const HyperCoreResult& a, const HyperCoreResult& b,
-                          const std::string& label) {
-  EXPECT_EQ(a.max_core, b.max_core) << label;
-  EXPECT_EQ(a.vertex_core, b.vertex_core) << label;
-  EXPECT_EQ(a.edge_core, b.edge_core) << label;
-  EXPECT_EQ(a.in_reduced, b.in_reduced) << label;
-  EXPECT_EQ(a.level_vertices, b.level_vertices) << label;
-  EXPECT_EQ(a.level_edges, b.level_edges) << label;
-}
-
-void expect_equivalent(const HyperCoreResult& a, const HyperCoreResult& b,
-                       const std::string& label) {
-  EXPECT_EQ(a.max_core, b.max_core) << label;
-  EXPECT_EQ(a.vertex_core, b.vertex_core) << label;
-  EXPECT_EQ(a.level_vertices, b.level_vertices) << label;
-  EXPECT_EQ(a.level_edges, b.level_edges) << label;
-}
-
-/// The full cross-engine battery for one input.
+/// Exact agreement with naive at 1/2/16 lanes, plus the lazy engine's
+/// accounting invariants.
 void check_engines(const Hypergraph& h, const std::string& label) {
-  PeelStats frontier_stats;
-  const HyperCoreResult frontier = core_decomposition(h, &frontier_stats);
-  const HyperCoreResult scan = core_decomposition_scan(h);
-  expect_bit_identical(frontier, scan, label + ": frontier vs scan");
+  testing::expect_engine_matches_naive(h, label);
 
-  PeelStats par_stats;
-  const HyperCoreResult par_frontier =
-      core_decomposition_parallel(h, 0, &par_stats);
-  const HyperCoreResult par_scan = core_decomposition_parallel_scan(h);
-  expect_bit_identical(par_frontier, par_scan,
-                       label + ": par frontier vs par scan");
-
-  expect_equivalent(frontier, par_frontier, label + ": seq vs par");
-  expect_equivalent(frontier, core_decomposition_naive(h),
-                    label + ": frontier vs naive");
-
-  // The lazy engines' accounting invariant: every wasted entry was
-  // pushed first.
-  EXPECT_LE(frontier_stats.frontier_wasted, frontier_stats.frontier_pushes)
-      << label;
-  EXPECT_LE(par_stats.frontier_wasted, par_stats.frontier_pushes) << label;
-  // Both engines fill the buckets once per vertex at minimum.
+  PeelStats stats;
+  (void)core_decomposition(h, &stats);
+  // Every wasted entry was pushed first.
+  EXPECT_LE(stats.frontier_wasted, stats.frontier_pushes) << label;
+  // The buckets are filled once per vertex at minimum.
   if (h.num_vertices() > 0) {
-    EXPECT_GE(frontier_stats.frontier_pushes, h.num_vertices()) << label;
-    EXPECT_GE(par_stats.frontier_pushes, h.num_vertices()) << label;
+    EXPECT_GE(stats.frontier_pushes, h.num_vertices()) << label;
   }
 }
 
@@ -144,6 +105,29 @@ TEST(FrontierPeel, DuplicateChain) {
 
 TEST(FrontierPeel, PaperToy) {
   check_engines(testing::toy_hypergraph(), "toy");
+}
+
+TEST(FrontierPeel, HigherIdDuplicateDiesFirst) {
+  // e0 = {0,1,2} and e1 = {0,1,3} both shrink to {0,1} when vertices 2
+  // and 3 peel at level 2. e1 (higher id) dies there (edge_core 1); e0
+  // survives into the K4 on {0,1,4,5} and reaches the 3-core.
+  HypergraphBuilder b{6};
+  b.add_edge({0, 1, 2});  // e0
+  b.add_edge({0, 1, 3});  // e1
+  b.add_edge({0, 4});
+  b.add_edge({1, 4});
+  b.add_edge({0, 5});
+  b.add_edge({1, 5});
+  b.add_edge({4, 5});
+  const Hypergraph h = b.build();
+  check_engines(h, "duplicate pair");
+  for (int lanes : {1, 16}) {
+    par::LaneLimit limit{lanes};
+    const HyperCoreResult r = core_decomposition(h);
+    EXPECT_EQ(r.max_core, 3u) << lanes;
+    EXPECT_EQ(r.edge_core[0], 3u) << lanes;
+    EXPECT_EQ(r.edge_core[1], 1u) << lanes;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,15 @@
 // Shared helpers for the hypergraph test suites.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <string>
 #include <vector>
 
 #include "core/hypergraph.hpp"
+#include "core/kcore.hpp"
+#include "core/kcore_naive.hpp"
+#include "par/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace hp::hyper::testing {
@@ -37,6 +43,30 @@ inline Hypergraph toy_hypergraph() {
   b.add_edge({5});
   b.add_edge({0, 1, 2, 3, 6});
   return b.build();
+}
+
+/// Two core decompositions agree in every field.
+inline void expect_same_cores(const HyperCoreResult& a,
+                              const HyperCoreResult& b,
+                              const std::string& label) {
+  EXPECT_EQ(a.max_core, b.max_core) << label;
+  EXPECT_EQ(a.vertex_core, b.vertex_core) << label;
+  EXPECT_EQ(a.edge_core, b.edge_core) << label;
+  EXPECT_EQ(a.in_reduced, b.in_reduced) << label;
+  EXPECT_EQ(a.level_vertices, b.level_vertices) << label;
+  EXPECT_EQ(a.level_edges, b.level_edges) << label;
+}
+
+/// The k-core contract: core_decomposition equals the naive reference
+/// exactly, under one, two and sixteen lanes.
+inline void expect_engine_matches_naive(const Hypergraph& h,
+                                        const std::string& label) {
+  const HyperCoreResult naive = core_decomposition_naive(h);
+  for (int lanes : {1, 2, 16}) {
+    par::LaneLimit limit{lanes};
+    expect_same_cores(core_decomposition(h), naive,
+                      label + ", " + std::to_string(lanes) + " lanes");
+  }
 }
 
 }  // namespace hp::hyper::testing

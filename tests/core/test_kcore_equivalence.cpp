@@ -1,53 +1,38 @@
-// Differential tests: the overlap-maintaining peel (the paper's
-// algorithm), the naive set-comparison reference, and the
-// bulk-synchronous parallel variant must agree on every input.
+// Differential tests: the k-core engine (the paper's algorithm as a
+// bulk-synchronous frontier peel) against the naive set-comparison
+// reference.
 //
-// Agreement contract: vertex core numbers, maximum core, and per-level
-// vertex/edge counts are identical. Edge *identity* may differ between
-// implementations only within groups of hyperedges whose residual sets
-// become equal during peeling (each keeps one representative).
+// Contract: every field is identical -- vertex and edge core numbers,
+// the reduction mask, maximum core and per-level counts -- under any
+// lane count. Among hyperedges whose residual sets become equal during
+// peeling, both keep the lowest id.
 #include <gtest/gtest.h>
 
-#include "core/kcore.hpp"
-#include "core/kcore_naive.hpp"
-#include "core/kcore_parallel.hpp"
 #include "test_helpers.hpp"
 
 namespace hp::hyper {
 namespace {
 
-void expect_equivalent(const HyperCoreResult& a, const HyperCoreResult& b,
-                       const std::string& label) {
-  EXPECT_EQ(a.max_core, b.max_core) << label;
-  EXPECT_EQ(a.vertex_core, b.vertex_core) << label;
-  EXPECT_EQ(a.level_vertices, b.level_vertices) << label;
-  EXPECT_EQ(a.level_edges, b.level_edges) << label;
-}
+using testing::expect_engine_matches_naive;
 
 class KCoreEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(KCoreEquivalence, RandomSparse) {
   Rng rng{GetParam()};
-  const Hypergraph h = testing::random_hypergraph(rng, 30, 40, 5);
-  const HyperCoreResult fast = core_decomposition(h);
-  expect_equivalent(fast, core_decomposition_naive(h), "naive");
-  expect_equivalent(fast, core_decomposition_parallel(h), "parallel");
+  expect_engine_matches_naive(testing::random_hypergraph(rng, 30, 40, 5),
+                              "sparse");
 }
 
 TEST_P(KCoreEquivalence, RandomDense) {
   Rng rng{GetParam() * 7919};
-  const Hypergraph h = testing::random_hypergraph(rng, 15, 60, 8);
-  const HyperCoreResult fast = core_decomposition(h);
-  expect_equivalent(fast, core_decomposition_naive(h), "naive");
-  expect_equivalent(fast, core_decomposition_parallel(h), "parallel");
+  expect_engine_matches_naive(testing::random_hypergraph(rng, 15, 60, 8),
+                              "dense");
 }
 
 TEST_P(KCoreEquivalence, ManySmallEdges) {
   Rng rng{GetParam() * 104729};
-  const Hypergraph h = testing::random_hypergraph(rng, 50, 120, 3);
-  const HyperCoreResult fast = core_decomposition(h);
-  expect_equivalent(fast, core_decomposition_naive(h), "naive");
-  expect_equivalent(fast, core_decomposition_parallel(h), "parallel");
+  expect_engine_matches_naive(testing::random_hypergraph(rng, 50, 120, 3),
+                              "small edges");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KCoreEquivalence,
@@ -55,10 +40,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KCoreEquivalence,
                                            12));
 
 TEST(KCoreEquivalence, ToyHypergraph) {
-  const Hypergraph h = testing::toy_hypergraph();
-  const HyperCoreResult fast = core_decomposition(h);
-  expect_equivalent(fast, core_decomposition_naive(h), "naive");
-  expect_equivalent(fast, core_decomposition_parallel(h), "parallel");
+  expect_engine_matches_naive(testing::toy_hypergraph(), "toy");
 }
 
 TEST(KCoreEquivalence, DuplicateHeavyInput) {
@@ -71,10 +53,7 @@ TEST(KCoreEquivalence, DuplicateHeavyInput) {
   b.add_edge({3, 4, 5});
   b.add_edge({4, 5});
   b.add_edge({4, 5});
-  const Hypergraph h = b.build();
-  const HyperCoreResult fast = core_decomposition(h);
-  expect_equivalent(fast, core_decomposition_naive(h), "naive");
-  expect_equivalent(fast, core_decomposition_parallel(h), "parallel");
+  expect_engine_matches_naive(b.build(), "duplicate-heavy");
 }
 
 TEST(KCoreEquivalence, StarOfEdges) {
@@ -83,10 +62,7 @@ TEST(KCoreEquivalence, StarOfEdges) {
   for (index_t i = 1; i < 9; i += 2) {
     b.add_edge({0, i, i + 1 < 9 ? i + 1 : 1});
   }
-  const Hypergraph h = b.build();
-  const HyperCoreResult fast = core_decomposition(h);
-  expect_equivalent(fast, core_decomposition_naive(h), "naive");
-  expect_equivalent(fast, core_decomposition_parallel(h), "parallel");
+  expect_engine_matches_naive(b.build(), "star");
 }
 
 }  // namespace

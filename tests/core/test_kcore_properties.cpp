@@ -5,9 +5,9 @@
 
 #include "bio/cellzome_synth.hpp"
 #include "core/kcore.hpp"
-#include "core/kcore_parallel.hpp"
 #include "mm/mm_synth.hpp"
 #include "mm/mm_to_hypergraph.hpp"
+#include "par/thread_pool.hpp"
 #include "test_helpers.hpp"
 
 namespace hp::hyper {
@@ -41,10 +41,12 @@ void check_core_invariants(const Hypergraph& h) {
               max_core.hypergraph.num_vertices());
   }
 
-  // Parallel implementation agrees.
-  const HyperCoreResult par = core_decomposition_parallel(h);
-  EXPECT_EQ(par.vertex_core, r.vertex_core);
-  EXPECT_EQ(par.max_core, r.max_core);
+  // One lane runs the same rounds serially and agrees.
+  par::LaneLimit one_lane{1};
+  const HyperCoreResult serial = core_decomposition(h);
+  EXPECT_EQ(serial.vertex_core, r.vertex_core);
+  EXPECT_EQ(serial.edge_core, r.edge_core);
+  EXPECT_EQ(serial.max_core, r.max_core);
 }
 
 TEST(KCoreProperties, BandedMatrixHypergraph) {

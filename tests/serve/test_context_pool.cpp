@@ -12,6 +12,7 @@
 
 #include "cli/query.hpp"
 #include "serve/context_pool.hpp"
+#include "scratch_dir.hpp"
 
 namespace hp::serve {
 namespace {
@@ -19,9 +20,6 @@ namespace {
 class ContextPoolTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
-    path_a_ = dir_ + "/pool_a.tsv";
-    path_b_ = dir_ + "/pool_b.tsv";
     std::ofstream a(path_a_);
     a << "Arp23\tARP2\tARP3\tARC15\n"
       << "SAGA\tGCN5\tADA2\tSPT7\tARP2\n"
@@ -33,7 +31,10 @@ class ContextPoolTest : public ::testing::Test {
       << "CxD\tP6\tP7\n";
   }
 
-  std::string dir_, path_a_, path_b_;
+  testutil::ScratchDir scratch_;  // removed with everything in it
+  std::string dir_ = scratch_.path();
+  std::string path_a_ = scratch_.file("pool_a.tsv");
+  std::string path_b_ = scratch_.file("pool_b.tsv");
 };
 
 TEST_F(ContextPoolTest, HitMissAndSharedSessions) {

@@ -24,6 +24,7 @@
 #include "serve/client.hpp"
 #include "serve/serve_commands.hpp"
 #include "serve/server.hpp"
+#include "scratch_dir.hpp"
 
 namespace hp::serve {
 namespace {
@@ -31,9 +32,6 @@ namespace {
 class ServeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
-    data_a_ = dir_ + "/serve_a.tsv";
-    data_b_ = dir_ + "/serve_b.tsv";
     std::ofstream a(data_a_);
     a << "Arp23\tARP2\tARP3\tARC15\n"
       << "SAGA\tGCN5\tADA2\tSPT7\tARP2\n"
@@ -43,15 +41,18 @@ class ServeTest : public ::testing::Test {
       << "CxB\tP2\tP4\n";
   }
 
-  /// A running server on a fresh Unix socket. (TempDir paths stay well
-  /// under the 107-byte sockaddr_un limit.)
+  /// A running server on a fresh Unix socket. (Scratch paths stay
+  /// under the 107-byte sockaddr_un limit for TempDir() = /tmp.)
   ServerOptions options(const char* name) {
     ServerOptions opts;
     opts.endpoint = parse_endpoint(dir_ + "/" + name + ".sock");
     return opts;
   }
 
-  std::string dir_, data_a_, data_b_;
+  testutil::ScratchDir scratch_;  // removed with everything in it
+  std::string dir_ = scratch_.path();
+  std::string data_a_ = scratch_.file("serve_a.tsv");
+  std::string data_b_ = scratch_.file("serve_b.tsv");
 };
 
 TEST_F(ServeTest, QueryMissThenHitSameOutput) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cli/commands.hpp"
+#include "scratch_dir.hpp"
 #include "serve/server.hpp"
 #include "util/common.hpp"
 
@@ -44,10 +45,12 @@ std::string strip_timing(const std::string& text) {
 class ServeGoldenTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // One calibrated surrogate for the whole suite; generation is
-    // deterministic in --seed, so every test run sees the same dataset.
+    // One calibrated surrogate per test process, in that process's own
+    // scratch directory; generation is deterministic in --seed, so every
+    // test run sees the same dataset.
+    static const testutil::ScratchDir scratch;
     static const std::string* dataset = [] {
-      const std::string path = ::testing::TempDir() + "/golden.hyper";
+      const std::string path = scratch.file("golden.hyper");
       std::string output;
       const int code = run_cli(
           {"generate", path, "--seed=99", "--proteins=300"}, &output);

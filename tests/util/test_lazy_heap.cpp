@@ -84,5 +84,28 @@ TEST(LazyMinHeap, ManyUpdatesConverge) {
   EXPECT_EQ(heap.pop_current(key, live), 0u);
 }
 
+TEST(LazyMinHeap, SupersededEntriesAreDroppedAndCounted) {
+  // Falling keys (the generalized core's measures): the caller pushes
+  // each decrease, and the older, larger snapshot is dropped when it
+  // surfaces after its item was popped.
+  LazyMinHeap heap;
+  std::vector<double> keys{4.0, 3.0};
+  std::vector<bool> alive{true, true};
+  heap.push(0, keys[0]);
+  heap.push(1, keys[1]);
+  keys[0] = 1.0;
+  heap.push(0, keys[0]);
+  const auto key = [&](index_t v) { return keys[v]; };
+  const auto live = [&](index_t v) { return alive[v]; };
+  EXPECT_EQ(heap.pop_current(key, live), 0u);
+  alive[0] = false;
+  EXPECT_EQ(heap.pop_current(key, live), 1u);
+  EXPECT_EQ(heap.pushes(), 3u);
+  EXPECT_EQ(heap.discarded(), 0u);
+  alive[1] = false;
+  EXPECT_THROW(heap.pop_current(key, live), std::logic_error);
+  EXPECT_EQ(heap.discarded(), 1u);  // item 0's stale 4.0 snapshot
+}
+
 }  // namespace
 }  // namespace hp
