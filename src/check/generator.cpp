@@ -44,7 +44,10 @@ Hypergraph uniform_instance(Rng& rng, const GenOptions& o) {
 Hypergraph cellzome_instance(Rng& rng, const GenOptions& o) {
   // Mirrors the regime of tests/core/test_peel_substrate.cpp: hub
   // vertices joining many complexes, plus verbatim duplicates and
-  // prefix sub-complexes (TAP pulldowns).
+  // prefix sub-complexes (TAP pulldowns). The top third of the ids are
+  // private members: a fresh complex takes up to three of them, which
+  // then share one incidence set -- the twin classes of degree-1
+  // proteins that the all-pairs path sweep folds into one source.
   const index_t nv = std::min<index_t>(
       8 + pick_count(rng, o.max_vertices > 8 ? o.max_vertices - 8
                                              : index_t{1}),
@@ -54,6 +57,8 @@ Hypergraph cellzome_instance(Rng& rng, const GenOptions& o) {
       std::max<index_t>(o.max_edges, 1));
   const index_t num_hubs =
       std::min<index_t>(1 + static_cast<index_t>(rng.uniform(4)), nv);
+  const index_t shared = nv - nv / 3;
+  index_t next_private = shared;
   HypergraphBuilder builder{nv};
   std::vector<index_t> members;
   std::vector<std::vector<index_t>> committed;
@@ -72,14 +77,17 @@ Hypergraph cellzome_instance(Rng& rng, const GenOptions& o) {
       continue;
     }
     const index_t size = pick_size(rng, o, 7);
+    const index_t privates = std::min<index_t>(
+        {static_cast<index_t>(rng.uniform(4)), size - 1, nv - next_private});
     members.clear();
-    for (index_t i = 0; i < size; ++i) {
+    for (index_t i = privates; i < size; ++i) {
       if (rng.uniform01() < 0.3) {
         members.push_back(static_cast<index_t>(rng.uniform(num_hubs)));
       } else {
-        members.push_back(static_cast<index_t>(rng.uniform(nv)));
+        members.push_back(static_cast<index_t>(rng.uniform(shared)));
       }
     }
+    for (index_t i = 0; i < privates; ++i) members.push_back(next_private++);
     builder.add_edge(members);
     committed.emplace_back(members);
   }

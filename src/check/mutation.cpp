@@ -97,6 +97,33 @@ struct NaiveModel {
     }
   }
 
+  /// Live hyperedges whose removal splits a component: their members
+  /// are not all connected through the other live hyperedges.
+  std::vector<index_t> bridges() const {
+    std::vector<index_t> out;
+    std::vector<index_t> parent(num_vertices);
+    const auto find = [&parent](index_t x) {
+      while (parent[x] != x) x = parent[x] = parent[parent[x]];
+      return x;
+    };
+    for (index_t cut = 0; cut < edges.size(); ++cut) {
+      if (!edge_alive[cut] || edges[cut].size() < 2) continue;
+      for (index_t v = 0; v < num_vertices; ++v) parent[v] = v;
+      for (index_t e = 0; e < edges.size(); ++e) {
+        if (e == cut || !edge_alive[e]) continue;
+        for (index_t v : edges[e]) parent[find(v)] = find(edges[e][0]);
+      }
+      const index_t root = find(edges[cut][0]);
+      for (index_t v : edges[cut]) {
+        if (find(v) != root) {
+          out.push_back(cut);
+          break;
+        }
+      }
+    }
+    return out;
+  }
+
   Hypergraph materialize(std::vector<index_t>* live_ids) const {
     HypergraphBuilder builder{num_vertices};
     if (live_ids != nullptr) live_ids->clear();
@@ -374,8 +401,9 @@ void check_mutation_trace(const Hypergraph& base,
                           const std::vector<MutationOp>& trace,
                           std::vector<CheckFailure>& failures) {
   // Per-op pass: artifacts warm from the start, compared after every
-  // step, so each incremental path (histogram moves, union-find unions,
-  // bounded core repairs) is exercised against a rebuild.
+  // step, so each incremental path (histogram moves, component unions
+  // and split searches, bounded core repairs) is exercised against a
+  // rebuild.
   {
     MutableAnalysisContext ctx{base};
     warm_artifacts(ctx);
@@ -444,12 +472,30 @@ std::vector<MutationOp> shrink_trace(
   return current;
 }
 
-void check_mutations(const Hypergraph& h, int num_ops,
-                     std::vector<CheckFailure>& failures) {
-  MutationTraceOptions options;
-  options.num_ops = num_ops;
-  const std::uint64_t seed = structural_hash(h);
-  const std::vector<MutationOp> trace = generate_trace(h, seed, options);
+std::vector<MutationOp> bridge_trace(const Hypergraph& base,
+                                     std::uint64_t seed) {
+  Rng rng{seed};
+  NaiveModel model{base};
+  std::vector<MutationOp> trace;
+  for (int i = 0; i < 4; ++i) {
+    const std::vector<index_t> bridges = model.bridges();
+    if (bridges.empty()) break;
+    MutationOp op;
+    op.kind = MutationOp::Kind::kRemoveEdge;
+    op.target = bridges[rng.pick(bridges.size())];
+    model.apply(op);
+    trace.push_back(std::move(op));
+  }
+  return trace;
+}
+
+namespace {
+
+/// Run one trace through the differential; on failure, shrink it and
+/// report the minimal subsequence with every failure.
+void check_and_shrink(const Hypergraph& h,
+                      const std::vector<MutationOp>& trace,
+                      std::vector<CheckFailure>& failures) {
   std::vector<CheckFailure> local;
   check_mutation_trace(h, trace, local);
   if (local.empty()) return;
@@ -471,6 +517,17 @@ void check_mutations(const Hypergraph& h, int num_ops,
     failures.push_back(
         {"mutation", f.detail + " -- " + rendered.str()});
   }
+}
+
+}  // namespace
+
+void check_mutations(const Hypergraph& h, int num_ops,
+                     std::vector<CheckFailure>& failures) {
+  MutationTraceOptions options;
+  options.num_ops = num_ops;
+  const std::uint64_t seed = structural_hash(h);
+  check_and_shrink(h, generate_trace(h, seed, options), failures);
+  check_and_shrink(h, bridge_trace(h, seed), failures);
 }
 
 }  // namespace hp::check

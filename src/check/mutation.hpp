@@ -54,6 +54,12 @@ std::vector<MutationOp> generate_trace(const hyper::Hypergraph& base,
                                        std::uint64_t seed,
                                        const MutationTraceOptions& options = {});
 
+/// Up to four deletes, each of a bridge -- a live hyperedge whose
+/// removal splits a component -- of the structure as it then is, so the
+/// incremental components must resolve a split at every step.
+std::vector<MutationOp> bridge_trace(const hyper::Hypergraph& base,
+                                     std::uint64_t seed);
+
 /// Drive the incremental pipeline through `trace`, comparing every
 /// maintained artifact against a from-scratch rebuild after each op
 /// (and once more after a batched replay). Appends failures.
@@ -61,9 +67,10 @@ void check_mutation_trace(const hyper::Hypergraph& base,
                           const std::vector<MutationOp>& trace,
                           std::vector<CheckFailure>& failures);
 
-/// run_all_oracles entry point: the trace seed is derived from a
-/// structural hash of the instance, so corpus replays and shrunk
-/// reproducers re-exercise the same mutations deterministically.
+/// run_all_oracles entry point: a generate_trace trace and a
+/// bridge_trace, both seeded from a structural hash of the instance, so
+/// corpus replays and shrunk reproducers re-exercise the same mutations
+/// deterministically.
 void check_mutations(const hyper::Hypergraph& h, int num_ops,
                      std::vector<CheckFailure>& failures);
 

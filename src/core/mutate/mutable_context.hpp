@@ -6,9 +6,11 @@
 //     - vertex degrees            O(|dirty|) per apply
 //     - vertex degree histogram   O(|dirty|), moves old bucket -> new
 //     - edge size histogram       O(|dirty|)
-//     - connected components      union-find; pure insertion unions in
-//                                 near-O(1), any deletion falls back to
-//                                 a rebuild at the next query
+//     - connected components      labels + union-find over labels;
+//                                 insertion unions in near-O(1), a
+//                                 removal runs a balanced search at the
+//                                 next query and relabels only the
+//                                 pieces that split off (DESIGN.md 12)
 //     - core decomposition        bounded repair: re-peel only the
 //                                 components reachable from the dirty
 //                                 region (see cores() below)
@@ -41,6 +43,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/context/analysis_context.hpp"
@@ -54,7 +57,7 @@ namespace hp::hyper {
 
 namespace detail {
 
-/// Union-find over vertex ids with union by size and path halving.
+/// Union-find with union by size and path halving.
 struct UnionFind {
   std::vector<index_t> parent;
   std::vector<index_t> size;
@@ -122,7 +125,7 @@ class MutableAnalysisContext {
     count_t mutations = 0;           ///< graph mutations absorbed
     count_t incremental_updates = 0; ///< artifact-level in-place updates
     count_t slot_invalidations = 0;  ///< rebuild-tier slots reset
-    count_t component_rebuilds = 0;  ///< union-find deletion fallbacks
+    count_t component_rebuilds = 0;  ///< full component relabels
     count_t core_repairs = 0;        ///< bounded subcore re-peels
     count_t core_repair_fallbacks = 0;
   };
@@ -141,7 +144,10 @@ class MutableAnalysisContext {
   };
 
   void grow_tracked_arrays();
-  void rebuild_union_find();
+  void note_split_seeds(const DirtyRegion& region);
+  void relabel_components();
+  void resolve_splits();
+  void split_off(std::span<const index_t> seeds);
   void canonicalize_components();
   void build_cores_full(bool count_as_fallback);
   void repair_cores();
@@ -159,10 +165,17 @@ class MutableAnalysisContext {
   CheapCounters edge_hist_counters_;
   Histogram edge_hist_;
 
-  // components
+  // components: vertex v is in component uf_.find(label_[v]). The
+  // labels describe the graph as of labeled_slots_ edge slots; a
+  // pending split keeps removal seeds until the next query.
   CheapCounters components_counters_;
-  detail::UnionFind uf_;
-  bool uf_stale_ = false;         ///< deletion happened; rebuild UF
+  std::vector<index_t> label_;
+  detail::UnionFind uf_;          ///< over label ids
+  index_t labeled_slots_ = 0;     ///< edge slots the labels account for
+  bool split_pending_ = false;    ///< removals await resolve_splits()
+  std::vector<index_t> split_seeds_;
+  std::vector<index_t> search_owner_;  ///< split search scratch
+  bool labels_stale_ = false;     ///< two unqueried removal windows
   bool components_dirty_ = false; ///< canonical output needs refresh
   HyperComponents components_;
 

@@ -35,12 +35,16 @@ HyperComponents connected_components(const Hypergraph& h);
 
 /// Exact all-pairs path statistics (paper: diameter 6, average path
 /// length 2.568 for the yeast hypergraph). Average is over all ordered
-/// connected vertex pairs. Sources run in batches of 64, one bit per
-/// source in a machine word: each BFS level of a batch costs 2 * pins
-/// word ORs (a hyperedge pass and a vertex pass), so the sweep is
-/// ceil(|V| / 64) batches * levels * 2 * pins word operations in all.
-/// Batches are spread over the shared pool; results are exact integers
-/// merged per lane and identical for every HP_THREADS value.
+/// connected vertex pairs. The sweep runs on the twin quotient: one
+/// source per class of vertices with the same non-empty incidence set,
+/// weighted by the class size (twins are equidistant from everything
+/// else, and 1 apart). Source classes run in batches of 64, one bit per
+/// source in a machine word: each BFS level of a batch costs
+/// 2 * quotient pins word ORs (a hyperedge pass and a class pass), so
+/// the sweep is ceil(classes / 64) batches * levels * 2 * quotient pins
+/// word operations, after an O(pins) quotient build. Batches are spread
+/// over the shared pool; results are exact integers merged per lane and
+/// identical for every HP_THREADS value.
 struct HyperPathSummary {
   index_t diameter = 0;
   double average_length = 0.0;

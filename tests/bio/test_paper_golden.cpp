@@ -17,6 +17,8 @@
 //   diameter               6           6  (exact)
 //   avg path length    2.568      2.5805  (surrogate)
 //
+// The 10^4 scaled surrogate (seed 1) pins its exact path integers too.
+//
 // If an intentional change moves one of these, update the constant in
 // the same commit and say why in its message.
 #include <gtest/gtest.h>
@@ -77,6 +79,18 @@ TEST(PaperGolden, PathStatistics) {
   EXPECT_EQ(p.diameter, 6u);  // paper: diameter 6
   EXPECT_NEAR(p.average_length, 2.5805, 5e-4);  // paper: 2.568
   EXPECT_EQ(p.connected_pairs, 1780914u);
+}
+
+TEST(PaperGolden, ScaledTenThousandPathIntegers) {
+  // `hyperproteome generate --proteins 10000 --seed 1`: the exact
+  // integers of the all-pairs sweep, so a path-kernel change that is
+  // not bit-identical fails here rather than in a rounded report line.
+  CellzomeParams params = scaled_cellzome_params(10000);
+  params.seed = 1;
+  const auto p = hyper::path_summary(cellzome_surrogate(params).hypergraph);
+  EXPECT_EQ(p.diameter, 7u);
+  EXPECT_EQ(p.connected_pairs, 96344596u);
+  EXPECT_EQ(p.average_length, 3.2933213192362132);
 }
 
 }  // namespace

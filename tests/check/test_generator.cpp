@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <vector>
 
@@ -113,6 +114,32 @@ TEST(Generator, SparseShapeLeavesIsolatedVertices) {
     if (h.vertex_degree(v) == 0) ++isolated;
   }
   EXPECT_GT(isolated, 0);
+}
+
+TEST(Generator, CellzomeShapeHasTwinClasses) {
+  // Twins (equal non-empty incidence sets) are what the weighted path
+  // sweep folds; most Cellzome-shaped cases must have a twin class, and
+  // many one of weight >= 3 (two bit-planes), not only the occasional
+  // twin pair.
+  int with_pairs = 0;
+  int with_triples = 0;
+  int cases = 0;
+  for (std::uint64_t seed = 0; cases < 60; ++seed) {
+    if (shape_of_seed(seed) != Shape::kCellzome) continue;
+    ++cases;
+    const Hypergraph h = generate(seed);
+    std::map<std::vector<index_t>, index_t> weight;
+    for (index_t v = 0; v < h.num_vertices(); ++v) {
+      const auto edges = h.edges_of(v);
+      if (!edges.empty()) ++weight[{edges.begin(), edges.end()}];
+    }
+    index_t heaviest = 0;
+    for (const auto& [incidence, w] : weight) heaviest = std::max(heaviest, w);
+    if (heaviest >= 2) ++with_pairs;
+    if (heaviest >= 3) ++with_triples;
+  }
+  EXPECT_GE(with_pairs, 50);
+  EXPECT_GE(with_triples, 30);
 }
 
 TEST(Generator, ProducesDegenerateInstancesAtSmallRate) {

@@ -35,6 +35,15 @@ inline Hypergraph random_hypergraph(Rng& rng, index_t num_vertices,
 /// The paper-style toy: two overlapping "complexes" plus satellites.
 ///   e0 = {0,1,2,3}, e1 = {2,3,4}, e2 = {4,5}, e3 = {5}, e4 = {0,1,2,3,6}
 /// e0 is contained in e4, so a reduction must drop e0.
+/// Chain of hyperedges e_i = {i, i + 1}: distances equal index gaps.
+inline Hypergraph chain_hypergraph(index_t n) {
+  HypergraphBuilder b{n};
+  for (index_t i = 0; i + 1 < n; ++i) {
+    b.add_edge({i, static_cast<index_t>(i + 1)});
+  }
+  return b.build();
+}
+
 inline Hypergraph toy_hypergraph() {
   HypergraphBuilder b{7};
   b.add_edge({0, 1, 2, 3});

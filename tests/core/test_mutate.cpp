@@ -221,6 +221,97 @@ TEST(MutateContextTest, ApplyStatsCountRepairsAndInvalidations) {
   EXPECT_GE(stats.slot_invalidations, 1u);
 }
 
+/// Two dense blocks {0..5} and {6..9} joined by the bridge {5, 6},
+/// plus the isolated vertex 10.
+Hypergraph bridged_blocks() {
+  HypergraphBuilder b{11};
+  b.add_edge({0, 1, 2});
+  b.add_edge({1, 2, 3});
+  b.add_edge({2, 3, 4, 5});
+  b.add_edge({0, 5});
+  b.add_edge({5, 6});  // edge 4: the bridge
+  b.add_edge({6, 7, 8});
+  b.add_edge({7, 8, 9});
+  return b.build();
+}
+
+TEST(MutateContextTest, BridgeDeleteSplitsWithoutRebuild) {
+  MutableAnalysisContext ctx{bridged_blocks()};
+  EXPECT_EQ(ctx.components().count, 2u);
+  ctx.graph().remove_hyperedge(4);
+  expect_matches_rebuild(ctx);
+  EXPECT_EQ(ctx.components().count, 3u);
+  // A redundant edge leaves the component whole.
+  ctx.graph().remove_hyperedge(1);
+  expect_matches_rebuild(ctx);
+  EXPECT_EQ(ctx.components().count, 3u);
+  EXPECT_EQ(ctx.apply_stats().component_rebuilds, 0u);
+}
+
+TEST(MutateContextTest, BridgeTraceSplitsAtEveryStep) {
+  const Hypergraph base = bridged_blocks();
+  const std::vector<check::MutationOp> trace = check::bridge_trace(base, 7);
+  ASSERT_EQ(trace.size(), 4u);
+  MutableAnalysisContext ctx{base};
+  index_t count = ctx.components().count;
+  for (const check::MutationOp& op : trace) {
+    ASSERT_TRUE(ctx.graph().remove_hyperedge(op.target));
+    expect_matches_rebuild(ctx);
+    EXPECT_GT(ctx.components().count, count) << check::to_string(op);
+    count = ctx.components().count;
+  }
+  EXPECT_EQ(ctx.apply_stats().component_rebuilds, 0u);
+}
+
+TEST(MutateContextTest, ArticulationVertexRemovalSplitsIntoPieces) {
+  // Vertex 0 holds three branches together; removing it leaves them
+  // and its own tombstone as four components next to the other block.
+  HypergraphBuilder b{8};
+  b.add_edge({0, 1, 2});
+  b.add_edge({0, 3, 4});
+  b.add_edge({0, 5});
+  b.add_edge({6, 7});
+  MutableAnalysisContext ctx{b.build()};
+  EXPECT_EQ(ctx.components().count, 2u);
+  ctx.graph().remove_vertex(0);
+  expect_matches_rebuild(ctx);
+  EXPECT_EQ(ctx.components().count, 5u);
+  EXPECT_EQ(ctx.apply_stats().component_rebuilds, 0u);
+}
+
+TEST(MutateContextTest, MixedWindowSplitsThenMerges) {
+  // One unqueried window that splits, re-joins across the old cut,
+  // adds vertices and kills a just-added edge, then an insert-only
+  // window behind it: removals are resolved on the old edges first,
+  // then the new edges are united.
+  MutableAnalysisContext ctx{bridged_blocks()};
+  ctx.components();
+  ctx.graph().remove_hyperedge(4);
+  const index_t fresh = ctx.graph().add_vertex();
+  ctx.graph().add_hyperedge({9, 10, fresh});
+  const index_t doomed = ctx.graph().add_hyperedge({0, 9});
+  ctx.graph().remove_vertex(2);
+  ctx.graph().remove_hyperedge(doomed);
+  ctx.apply();
+  ctx.graph().add_hyperedge({4, 10});
+  expect_matches_rebuild(ctx);
+  EXPECT_EQ(ctx.apply_stats().component_rebuilds, 0u);
+}
+
+TEST(MutateContextTest, UnqueriedRemovalWindowsRelabelOnce) {
+  // A writer that applies removal after removal without reading the
+  // components holds no seeds: the next query relabels once.
+  MutableAnalysisContext ctx{bridged_blocks()};
+  ctx.components();
+  for (index_t e = 0; e < 7; ++e) {
+    ctx.graph().remove_hyperedge(e);
+    ctx.apply();
+  }
+  expect_matches_rebuild(ctx);
+  EXPECT_EQ(ctx.components().count, 11u);
+  EXPECT_EQ(ctx.apply_stats().component_rebuilds, 1u);
+}
+
 TEST(MutateContextTest, ContextBytesShrinkWhenSlotsReset) {
   AnalysisContext ctx{testing::toy_hypergraph()};
   ctx.cores();

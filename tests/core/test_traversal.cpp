@@ -9,15 +9,8 @@
 namespace hp::hyper {
 namespace {
 
-/// Chain of hyperedges: e_i = {i, i+1}; distances equal index gaps.
-Hypergraph chain_hypergraph(index_t n) {
-  HypergraphBuilder b{n};
-  for (index_t i = 0; i + 1 < n; ++i) b.add_edge({i, static_cast<index_t>(i + 1)});
-  return b.build();
-}
-
 TEST(HyperBfs, ChainDistances) {
-  const Hypergraph h = chain_hypergraph(6);
+  const Hypergraph h = testing::chain_hypergraph(6);
   const auto dist = bfs_distances(h, 0);
   for (index_t v = 0; v < 6; ++v) EXPECT_EQ(dist[v], v);
 }
@@ -104,7 +97,7 @@ TEST(HyperComponents, LabelsAreConsistent) {
 }
 
 TEST(HyperPathSummary, ChainValues) {
-  const HyperPathSummary s = path_summary(chain_hypergraph(5));
+  const HyperPathSummary s = path_summary(testing::chain_hypergraph(5));
   EXPECT_EQ(s.diameter, 4u);
   EXPECT_EQ(s.connected_pairs, 20u);
   // Average over ordered pairs of |i-j|: 2*(4*1+3*2+2*3+1*4)/20 = 2.

@@ -1,7 +1,7 @@
 // Metric properties of hypergraph distances on random inputs: symmetry,
 // triangle inequality, component consistency, and agreement between the
 // all-pairs summary and per-source BFS (across 64-source word
-// boundaries and lane caps).
+// boundaries, lane caps and twin-class shapes).
 #include <gtest/gtest.h>
 
 #include "core/traversal.hpp"
@@ -122,6 +122,99 @@ TEST_P(TraversalProperties, SummaryAgreesWithPerSourceBfs) {
   // word multiples, one source past them, and several words.
   for (index_t n : {1u, 63u, 64u, 65u, 128u, 129u, 200u}) {
     expect_summary_matches_bfs(split_hypergraph(rng, n));
+  }
+}
+
+/// Replace every vertex v of `base` by `weight[v]` twins -- copies with
+/// v's incidence set -- under a shuffled id order, so each twin class
+/// is spread over the id range. A weight-0 vertex vanishes.
+Hypergraph blow_up(const Hypergraph& base, const std::vector<index_t>& weight,
+                   Rng& rng) {
+  std::vector<index_t> owner;
+  for (index_t v = 0; v < base.num_vertices(); ++v) {
+    owner.insert(owner.end(), weight[v], v);
+  }
+  rng.shuffle(owner);
+  std::vector<std::vector<index_t>> copies(base.num_vertices());
+  for (index_t id = 0; id < owner.size(); ++id) copies[owner[id]].push_back(id);
+  HypergraphBuilder builder{static_cast<index_t>(owner.size())};
+  std::vector<index_t> members;
+  for (index_t e = 0; e < base.num_edges(); ++e) {
+    members.clear();
+    for (index_t v : base.vertices_of(e)) {
+      members.insert(members.end(), copies[v].begin(), copies[v].end());
+    }
+    if (!members.empty()) builder.add_edge(members);
+  }
+  return builder.build();
+}
+
+TEST(TwinQuotientPaths, OneEdgeOfTwins) {
+  for (index_t w : {1u, 2u, 3u, 64u, 65u, 200u}) {
+    std::vector<index_t> all(w);
+    for (index_t v = 0; v < w; ++v) all[v] = v;
+    HypergraphBuilder builder{w};
+    builder.add_edge(all);
+    const Hypergraph h = builder.build();
+    expect_summary_matches_bfs(h);
+    const HyperPathSummary summary = path_summary(h);
+    EXPECT_EQ(summary.connected_pairs, count_t{w} * (w - 1)) << w;
+    EXPECT_EQ(summary.diameter, w > 1 ? 1u : 0u) << w;
+    EXPECT_EQ(summary.average_length, w > 1 ? 1.0 : 0.0) << w;
+  }
+}
+
+TEST(TwinQuotientPaths, IsolatedVerticesAreNotTwins) {
+  const Hypergraph edgeless = HypergraphBuilder{5}.build();
+  expect_summary_matches_bfs(edgeless);
+  EXPECT_EQ(path_summary(edgeless).connected_pairs, 0u);
+  // Isolated vertices next to a twin pair: only the pair connects.
+  HypergraphBuilder builder{7};
+  builder.add_edge({2, 5});
+  const Hypergraph h = builder.build();
+  expect_summary_matches_bfs(h);
+  EXPECT_EQ(path_summary(h).connected_pairs, 2u);
+}
+
+TEST(TwinQuotientPaths, OneBatchOfManyBitPlanes) {
+  // Five classes in one 64-source batch whose weights need one to
+  // eight bit-planes. On a chain every class has its own incidence set
+  // and every class distance 1..4 occurs.
+  Rng rng{64};
+  expect_summary_matches_bfs(
+      blow_up(testing::chain_hypergraph(5), {1, 63, 64, 65, 200}, rng));
+  expect_summary_matches_bfs(
+      blow_up(testing::chain_hypergraph(5), {200, 1, 65, 64, 63}, rng));
+}
+
+TEST_P(TraversalProperties, TwinQuotientMatchesBfs) {
+  Rng rng{GetParam() * 4099};
+  // No twins: a private singleton edge per vertex makes every
+  // incidence set distinct.
+  {
+    const Hypergraph base = testing::random_hypergraph(rng, 40, 20, 4);
+    HypergraphBuilder builder{base.num_vertices()};
+    for (index_t e = 0; e < base.num_edges(); ++e) {
+      builder.add_edge(base.vertices_of(e));
+    }
+    for (index_t v = 0; v < base.num_vertices(); ++v) builder.add_edge({v});
+    expect_summary_matches_bfs(builder.build());
+  }
+  // All twins: every vertex of a random instance doubled or more;
+  // isolated ones become groups of isolated vertices.
+  {
+    const Hypergraph base = testing::random_hypergraph(rng, 30, 12, 4);
+    std::vector<index_t> weight(base.num_vertices());
+    for (index_t& w : weight) w = 2 + static_cast<index_t>(rng.uniform(4));
+    expect_summary_matches_bfs(blow_up(base, weight, rng));
+  }
+  // More than 64 classes: partial and multiple batches, with weights
+  // from 0 (vanished) to 5 and classes cut across components.
+  for (index_t n : {70u, 129u, 150u}) {
+    const Hypergraph base = split_hypergraph(rng, n);
+    std::vector<index_t> weight(base.num_vertices());
+    for (index_t& w : weight) w = static_cast<index_t>(rng.uniform(6));
+    expect_summary_matches_bfs(blow_up(base, weight, rng));
   }
 }
 
