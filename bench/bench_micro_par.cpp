@@ -11,8 +11,9 @@
 //     only when the host actually has >= 8 hardware threads);
 //   * parallel k-core -- core_decomposition's bulk frontier rounds and
 //     containment sweeps;
-//   * context prefetch -- AnalysisContext::prefetch() fanning artifact
-//     builds across the pool vs building the slots one by one.
+//   * context prefetch -- AnalysisContext::prefetch() fanning the
+//     report's artifact builds across the pool vs building them one by
+//     one.
 //
 // Results additionally verify the determinism contract: the serial and
 // pool runs must agree exactly, or the binary exits nonzero.

@@ -84,8 +84,9 @@ int main(int argc, char** argv) {
     t.print();
   }
 
-  // Clustering-coefficient inflation from clique expansion; the graphs
-  // are the cached projections already costed above, not rebuilds.
+  // Clustering-coefficient inflation from clique expansion: the one
+  // table that needs the graphs themselves, so the context builds them
+  // here (the costs above were counted without them).
   std::puts("\n--- Clustering coefficient inflation (Maslov et al.) ---");
   {
     const hp::graph::Graph& clique = ctx.clique_projection();

@@ -181,6 +181,11 @@ assert all(d == 0 for d in depth.values()), f"unclosed spans: {depth}"
 names = {e["name"] for e in events}
 builds = sorted(n for n in names if n.startswith("context.build."))
 assert len(builds) >= 1, "no context artifact build spans"
+# The report reads none of these; prefetch() must leave them unbuilt.
+unread = {f"context.build.{a}" for a in (
+    "clique_projection", "star_projection", "intersection_projection",
+    "star_baits", "dual", "reduced_hypergraph")}
+assert not unread & names, f"report built unread artifacts: {sorted(unread & names)}"
 peel_levels = sum(
     1 for e in events
     if e["name"] == "kcore.peel_level" and e["ph"] == "B")

@@ -220,7 +220,8 @@ void check_projections(const Hypergraph& h,
   const graph::Graph star =
       hyper::star_expansion(h, hyper::default_baits(h));
   const graph::Graph bipartite = hyper::bipartite_graph(h);
-  const graph::Graph intersection = hyper::intersection_graph(h);
+  std::vector<index_t> weights;
+  const graph::Graph intersection = hyper::intersection_graph(h, &weights);
 
   // Every within-edge pair is a clique edge.
   for (index_t e = 0; e < h.num_edges(); ++e) {
@@ -273,6 +274,20 @@ void check_projections(const Hypergraph& h,
   // The intersection graph agrees with the overlap table: f ~ g exactly
   // when |f ∩ g| >= 1.
   const hyper::OverlapTable overlaps{h};
+  // Its weights, in (u, v)-sorted order, are the overlap sizes.
+  std::vector<index_t> upper_counts;
+  for (index_t f = 0; f < h.num_edges(); ++f) {
+    const auto row = overlaps.neighbors(f);
+    const auto counts = overlaps.counts(f);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (row[i] > f) upper_counts.push_back(counts[i]);
+    }
+  }
+  if (upper_counts != weights) {
+    fail(failures, "projections",
+         "intersection weights differ from the overlap sizes");
+    return;
+  }
   for (index_t f = 0; f < h.num_edges(); ++f) {
     if (overlaps.degree2(f) != intersection.degree(f)) {
       fail(failures, "projections",
@@ -400,6 +415,31 @@ void check_context(const Hypergraph& h, std::vector<CheckFailure>& failures) {
   if (&context.dual() != &context.dual() ||
       &context.cores() != &context.cores()) {
     fail(failures, "context", "repeated access rebuilt an artifact");
+  }
+}
+
+void check_representation_costs(const Hypergraph& h,
+                                std::vector<CheckFailure>& failures) {
+  const hyper::RepresentationCosts costs = hyper::representation_costs(h);
+  const auto expect = [&](const char* model, const graph::Graph& g,
+                          count_t edges, std::size_t bytes) {
+    if (edges != g.num_edges() || bytes != g.storage_bytes()) {
+      fail(failures, "representation_costs",
+           std::string{model} + ": counted " + std::to_string(edges) +
+               " edges / " + std::to_string(bytes) +
+               " bytes, materialized " + std::to_string(g.num_edges()) +
+               " / " + std::to_string(g.storage_bytes()));
+    }
+  };
+  expect("clique", hyper::clique_expansion(h), costs.clique_edges,
+         costs.clique_bytes);
+  expect("star", hyper::star_expansion(h, hyper::default_baits(h)),
+         costs.star_edges, costs.star_bytes);
+  expect("intersection", hyper::intersection_graph(h),
+         costs.intersection_edges, costs.intersection_bytes);
+  if (costs.hypergraph_pins != h.num_pins() ||
+      costs.hypergraph_bytes != h.storage_bytes()) {
+    fail(failures, "representation_costs", "hypergraph pins/bytes differ");
   }
 }
 
@@ -566,6 +606,7 @@ std::vector<CheckFailure> run_all_oracles(const Hypergraph& h,
       failures);
   check_covers(h, failures);
   if (options.with_context) check_context(h, failures);
+  check_representation_costs(h, failures);
   if (options.with_mutations) check_mutations(h, options.mutation_ops, failures);
   if (options.with_loaders) check_roundtrips(h, failures);
   if (options.with_protocol) {

@@ -25,6 +25,9 @@
 //   * covers          -- the greedy multicover output is feasible.
 //   * context         -- AnalysisContext-cached artifacts are identical
 //     to cold computations and stable across repeated access.
+//   * representation costs -- the counting sweep's edge counts and CSR
+//     bytes equal those of the materialized clique/star/intersection
+//     graphs.
 //   * mutation        -- the incremental pipeline (core/mutate/) stays
 //     bit-identical to from-scratch rebuilds across a random mutation
 //     trace (see check/mutation.hpp; failing traces are ddmin-shrunk).
@@ -100,6 +103,8 @@ void check_covers(const hyper::Hypergraph& h,
                   std::vector<CheckFailure>& failures);
 void check_context(const hyper::Hypergraph& h,
                    std::vector<CheckFailure>& failures);
+void check_representation_costs(const hyper::Hypergraph& h,
+                                std::vector<CheckFailure>& failures);
 void check_roundtrips(const hyper::Hypergraph& h,
                       std::vector<CheckFailure>& failures);
 

@@ -171,8 +171,8 @@ int query_smallworld(QuerySession& session, const Args& args,
 }
 
 int query_report(QuerySession& session, const Args& args, std::ostream& out) {
-  // The report touches nearly every artifact; build the independent
-  // ones concurrently on the shared pool before the serial rendering.
+  // Build the artifacts the report reads concurrently on the shared
+  // pool before the serial analysis and rendering.
   session.context.prefetch();
   const bio::PaperReport report = bio::analyze(session.context);
   const bio::PaperReference reference = args.get_bool("no-paper", false)

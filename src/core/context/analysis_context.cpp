@@ -112,19 +112,17 @@ const HyperPathSummary& AnalysisContext::paths() const {
 
 void AnalysisContext::prefetch() const {
   HP_TRACE_SPAN("context.prefetch");
-  // Independent roots fan out; a task blocking in a sibling's call_once
-  // only ever waits on a build that is actively running, and the slot
+  // Exactly the slots bio::analyze reads. The dual, the projections and
+  // the reduced hypergraph stay lazy: the report never reads them, and
+  // the projections are the O(n^2) graphs the paper argues against.
+  // Independent roots fan out; a task blocking on a sibling's slot only
+  // ever waits on a build that is actively running, and the slot
   // dependency graph is acyclic, so the group cannot deadlock.
   par::TaskGroup group;
-  group.run([this] { dual(); });
-  group.run([this] { clique_projection(); });
-  group.run([this] { star_projection(); });  // pulls star_baits() first
-  group.run([this] { intersection_projection(); });
   group.run([this] { components(); });
   group.run([this] { vertex_degree_histogram(); });
   group.run([this] { edge_size_histogram(); });
   group.run([this] { overlaps(); });
-  group.run([this] { reduced(); });
   group.run([this] { cores(); });
   group.run([this] { paths(); });  // internally parallel; shares the pool
   group.wait();
@@ -155,16 +153,7 @@ index_t AnalysisContext::rebase(Hypergraph h) {
 }
 
 RepresentationCosts AnalysisContext::representation_costs() const {
-  RepresentationCosts costs;
-  costs.hypergraph_bytes = hypergraph_.storage_bytes();
-  costs.hypergraph_pins = hypergraph_.num_pins();
-  costs.clique_bytes = clique_projection().storage_bytes();
-  costs.clique_edges = clique_projection().num_edges();
-  costs.star_bytes = star_projection().storage_bytes();
-  costs.star_edges = star_projection().num_edges();
-  costs.intersection_bytes = intersection_projection().storage_bytes();
-  costs.intersection_edges = intersection_projection().num_edges();
-  return costs;
+  return ::hp::hyper::representation_costs(hypergraph_);
 }
 
 ContextStats AnalysisContext::stats() const {

@@ -206,17 +206,19 @@ class AnalysisContext {
   /// Exact all-pairs path statistics (diameter, average length).
   const HyperPathSummary& paths() const;
 
-  /// Storage comparison of the four representations, assembled from the
-  /// cached projections (same numbers as hyper::representation_costs).
+  /// Storage comparison of the four representations: delegates to the
+  /// counting sweep hyper::representation_costs, so it neither reads nor
+  /// builds the projection slots.
   RepresentationCosts representation_costs() const;
 
-  /// Build every artifact eagerly, fanning the independent slots out
-  /// across the shared pool (src/par/) via a TaskGroup. Slots that
-  /// depend on others (summary on components + overlaps) are built
-  /// after the fan-out, when their inputs are already warm. Safe to
-  /// call concurrently with readers: the per-slot once_flags still
-  /// guarantee exactly-once construction. At HP_THREADS=1 this runs
-  /// every build inline, in declaration order.
+  /// Build exactly the artifacts bio::analyze reads -- components, both
+  /// histograms, overlaps, cores and paths, fanned out across the shared
+  /// pool (src/par/) via a TaskGroup, then summary, whose inputs
+  /// (components + overlaps) are warm by then. The dual, star baits, the
+  /// three projections and the reduced hypergraph stay cold until a
+  /// caller asks for them. Safe to call concurrently with readers: the
+  /// slots still guarantee exactly-once construction. At HP_THREADS=1
+  /// this runs every build inline, in the order listed.
   void prefetch() const;
 
   /// Swap in a new hypergraph, resetting every *built* slot (each reset

@@ -1,11 +1,88 @@
 #include "core/projection.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "obs/trace.hpp"
 
 namespace hp::hyper {
+
+namespace {
+
+/// Two-hop marker sweep over the incidence lists: for each x < n, the
+/// distinct z > x reachable as x -> y in out(x) -> z in back(y). Calls
+/// visit(x, row, shared), where `row` lists those z (unsorted) and
+/// shared[z] counts the y that reach z. O(two-hop work) time, O(n)
+/// memory. With out = vertices_of and back = edges_of the rows are the
+/// intersection graph (shared[g] = |f ∩ g|); swapped, the clique
+/// expansion.
+template <typename Out, typename Back, typename Visit>
+void for_each_two_hop_row(index_t n, const Out& out, const Back& back,
+                          const Visit& visit) {
+  std::vector<index_t> mark(n, kInvalidIndex);  // last x that reached z
+  std::vector<index_t> shared(n, 0);
+  std::vector<index_t> row;
+  for (index_t x = 0; x < n; ++x) {
+    row.clear();
+    for (index_t y : out(x)) {
+      const auto targets = back(y);  // sorted, contains x
+      for (auto it = std::upper_bound(targets.begin(), targets.end(), x);
+           it != targets.end(); ++it) {
+        if (mark[*it] != x) {
+          mark[*it] = x;
+          shared[*it] = 0;
+          row.push_back(*it);
+        }
+        ++shared[*it];
+      }
+    }
+    visit(x, row, shared);
+  }
+}
+
+/// Number of rows' entries in a two-hop sweep: the edge count of the
+/// graph it walks.
+template <typename Out, typename Back>
+count_t two_hop_edges(index_t n, const Out& out, const Back& back) {
+  count_t edges = 0;
+  for_each_two_hop_row(n, out, back,
+                       [&](index_t, const std::vector<index_t>& row,
+                           const std::vector<index_t>&) {
+                         edges += row.size();
+                       });
+  return edges;
+}
+
+/// Edges of star_expansion(h, baits): the distinct star neighbours
+/// w > u of each vertex u -- every co-member of a complex u baits, and
+/// the bait of every other complex u is in. O(|E|) time, O(|V|) memory.
+count_t star_edge_count(const Hypergraph& h,
+                        const std::vector<index_t>& baits) {
+  std::vector<index_t> mark(h.num_vertices(), kInvalidIndex);
+  count_t edges = 0;
+  const auto touch = [&](index_t u, index_t w) {
+    if (mark[w] != u) {
+      mark[w] = u;
+      ++edges;
+    }
+  };
+  for (index_t u = 0; u < h.num_vertices(); ++u) {
+    for (index_t e : h.edges_of(u)) {
+      const index_t bait = baits[e];
+      if (bait > u) {
+        touch(u, bait);
+      } else if (bait == u) {
+        const auto members = h.vertices_of(e);
+        for (auto it = std::upper_bound(members.begin(), members.end(), u);
+             it != members.end(); ++it) {
+          touch(u, *it);
+        }
+      }
+    }
+  }
+  return edges;
+}
+
+}  // namespace
 
 graph::Graph clique_expansion(const Hypergraph& h) {
   HP_TRACE_SPAN("projection.clique_expansion");
@@ -53,29 +130,21 @@ std::vector<index_t> default_baits(const Hypergraph& h) {
 graph::Graph intersection_graph(const Hypergraph& h,
                                 std::vector<index_t>* weights_out) {
   HP_TRACE_SPAN("projection.intersection_graph");
-  // Accumulate overlap counts per unordered complex pair via the vertex
-  // incidence lists (same sweep as OverlapTable, but only the upper
-  // triangle).
-  std::map<std::pair<index_t, index_t>, index_t> overlap;
-  for (index_t v = 0; v < h.num_vertices(); ++v) {
-    const auto edges = h.edges_of(v);
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      for (std::size_t j = i + 1; j < edges.size(); ++j) {
-        ++overlap[{edges[i], edges[j]}];
-      }
-    }
-  }
+  // Rows come in f order and each is sorted before it is emitted, so the
+  // pairs -- and the weights -- follow (u, v)-sorted order.
   graph::GraphBuilder builder{h.num_edges()};
-  for (const auto& [pair, w] : overlap) {
-    builder.add_edge(pair.first, pair.second);
-    (void)w;
-  }
-  if (weights_out != nullptr) {
-    weights_out->clear();
-    weights_out->reserve(overlap.size());
-    // std::map iterates in (u, v)-sorted order, matching the contract.
-    for (const auto& [pair, w] : overlap) weights_out->push_back(w);
-  }
+  if (weights_out != nullptr) weights_out->clear();
+  for_each_two_hop_row(
+      h.num_edges(), [&](index_t f) { return h.vertices_of(f); },
+      [&](index_t v) { return h.edges_of(v); },
+      [&](index_t f, std::vector<index_t>& row,
+          const std::vector<index_t>& shared) {
+        std::sort(row.begin(), row.end());
+        for (index_t g : row) {
+          builder.add_edge(f, g);
+          if (weights_out != nullptr) weights_out->push_back(shared[g]);
+        }
+      });
   return builder.build();
 }
 
@@ -91,21 +160,23 @@ graph::Graph bipartite_graph(const Hypergraph& h) {
 }
 
 RepresentationCosts representation_costs(const Hypergraph& h) {
+  HP_TRACE_SPAN("projection.representation_costs");
   RepresentationCosts costs;
   costs.hypergraph_bytes = h.storage_bytes();
   costs.hypergraph_pins = h.num_pins();
 
-  const graph::Graph clique = clique_expansion(h);
-  costs.clique_bytes = clique.storage_bytes();
-  costs.clique_edges = clique.num_edges();
+  const auto members = [&](index_t e) { return h.vertices_of(e); };
+  const auto incidences = [&](index_t v) { return h.edges_of(v); };
+  costs.clique_edges = two_hop_edges(h.num_vertices(), incidences, members);
+  costs.clique_bytes =
+      graph::Graph::csr_bytes(h.num_vertices(), costs.clique_edges);
 
-  const graph::Graph star = star_expansion(h, default_baits(h));
-  costs.star_bytes = star.storage_bytes();
-  costs.star_edges = star.num_edges();
+  costs.star_edges = star_edge_count(h, default_baits(h));
+  costs.star_bytes = graph::Graph::csr_bytes(h.num_vertices(), costs.star_edges);
 
-  const graph::Graph inter = intersection_graph(h);
-  costs.intersection_bytes = inter.storage_bytes();
-  costs.intersection_edges = inter.num_edges();
+  costs.intersection_edges = two_hop_edges(h.num_edges(), members, incidences);
+  costs.intersection_bytes =
+      graph::Graph::csr_bytes(h.num_edges(), costs.intersection_edges);
   return costs;
 }
 

@@ -10,8 +10,9 @@
 //    the overlap size). A protein in m complexes creates O(m^2) edges.
 //  * Bipartite graph B(H): proteins 0..|V|-1, complexes |V|..|V|+|F|-1.
 //
-// Each projection reports its storage so bench_model_comparison can
-// reproduce the paper's space argument quantitatively.
+// representation_costs() counts each projection's edges and storage
+// without building it, so bench_model_comparison can reproduce the
+// paper's space argument quantitatively.
 #pragma once
 
 #include <vector>
@@ -54,6 +55,10 @@ struct RepresentationCosts {
   count_t intersection_edges = 0;
 };
 
+/// Edge counts and CSR bytes of the clique, star (default baits) and
+/// intersection graphs, counted by marker-array sweeps without building
+/// them: O(Σ_e |e|² + Σ_v deg(v)²) time, O(|V| + |F|) memory. Equal to
+/// num_edges()/storage_bytes() of the materialized projections.
 RepresentationCosts representation_costs(const Hypergraph& h);
 
 }  // namespace hp::hyper

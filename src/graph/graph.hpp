@@ -51,6 +51,13 @@ class Graph {
            adjacency_.size() * sizeof(adjacency_[0]);
   }
 
+  /// storage_bytes() of a graph with n vertices and m edges, computed
+  /// without building it: n+1 offsets plus both directions of each edge.
+  static std::size_t csr_bytes(index_t n, count_t m) {
+    return (static_cast<std::size_t>(n) + 1) * sizeof(std::size_t) +
+           2 * static_cast<std::size_t>(m) * sizeof(index_t);
+  }
+
  private:
   friend class GraphBuilder;
   std::vector<std::size_t> offsets_;  // size num_vertices()+1

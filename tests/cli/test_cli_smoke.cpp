@@ -118,6 +118,27 @@ TEST_F(CliSmokeTest, ReportContextStatsBuildsEachArtifactAtMostOnce) {
   EXPECT_GT(rows, 10);
 }
 
+TEST_F(CliSmokeTest, ReportLeavesUnreadArtifactsCold) {
+  std::ostringstream out;
+  const int rc = run(
+      make_args({"report", table_path_.c_str(), "--context-stats"}), out);
+  EXPECT_EQ(rc, 0);
+  const std::string text = out.str();
+  // The report reads none of these; prefetch() must not build them.
+  for (const char* slug :
+       {"dual", "clique_projection", "star_baits", "star_projection",
+        "intersection_projection", "reduced_hypergraph"}) {
+    const std::string key = std::string{"context."} + slug + ".builds ";
+    const std::size_t at = text.find(key);
+    ASSERT_NE(at, std::string::npos) << key;
+    const std::string line = text.substr(at, text.find('\n', at) - at);
+    std::istringstream value{line.substr(line.rfind('|') + 1)};
+    std::uint64_t builds = 99;
+    value >> builds;
+    EXPECT_EQ(builds, 0u) << line;
+  }
+}
+
 TEST_F(CliSmokeTest, TraceFlagWritesParseableChromeTrace) {
   const std::string trace_path = scratch_.file("cli_smoke_trace.json");
   std::ostringstream out;

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "bio/cellzome_synth.hpp"
+#include "bio/paper_report.hpp"
 #include "core/dual.hpp"
 #include "core/kcore.hpp"
 #include "core/overlap.hpp"
@@ -175,6 +179,42 @@ TEST(ContextTest, UntouchedSlotsReportZeroBuilds) {
       EXPECT_EQ(a.hits, 0u) << a.name;
     }
   }
+}
+
+TEST(ContextTest, PrefetchBuildsExactlyWhatAnalyzeReads) {
+  const std::set<std::string> read = {
+      "components",         "vertex degree histogram", "edge size histogram",
+      "overlap table",      "core decomposition",      "path summary",
+      "summary"};
+  const std::set<std::string> unread = {
+      "dual",          "clique projection",       "star baits",
+      "star projection", "intersection projection", "reduced hypergraph"};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    bio::CellzomeParams params;
+    params.seed = seed;
+    const AnalysisContext ctx{bio::cellzome_surrogate(params).hypergraph};
+    ctx.prefetch();
+    const ContextStats after_prefetch = ctx.stats();
+    ASSERT_EQ(after_prefetch.artifacts.size(), read.size() + unread.size());
+    for (const ArtifactStats& a : after_prefetch.artifacts) {
+      ASSERT_TRUE(read.count(a.name) + unread.count(a.name) == 1) << a.name;
+      EXPECT_EQ(a.builds, read.count(a.name) ? 1u : 0u) << a.name;
+    }
+
+    // Builds only grow, so an equal total means no slot built again.
+    bio::analyze(ctx);
+    const ContextStats after_analyze = ctx.stats();
+    EXPECT_EQ(after_analyze.total_builds(), after_prefetch.total_builds());
+    EXPECT_GT(after_analyze.total_hits(), after_prefetch.total_hits());
+  }
+}
+
+TEST(ContextTest, RepresentationCostsLeaveTheProjectionsCold) {
+  const AnalysisContext ctx{testing::toy_hypergraph()};
+  const RepresentationCosts costs = ctx.representation_costs();
+  EXPECT_EQ(costs.clique_edges, clique_expansion(ctx.hypergraph()).num_edges());
+  EXPECT_EQ(ctx.stats().total_builds(), 0u);
 }
 
 TEST(ContextTest, PeelStatsComeFromTheCachedDecomposition) {

@@ -2,10 +2,45 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "bio/cellzome_synth.hpp"
+#include "check/generator.hpp"
+#include "check/oracles.hpp"
 #include "test_helpers.hpp"
 
 namespace hp::hyper {
 namespace {
+
+/// Fuzz-seed instances plus the calibrated Cellzome surrogate.
+std::vector<std::pair<std::string, Hypergraph>> reference_instances() {
+  std::vector<std::pair<std::string, Hypergraph>> out;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    out.emplace_back("seed " + std::to_string(seed), check::generate(seed));
+  }
+  out.emplace_back("cellzome surrogate", bio::cellzome_surrogate().hypergraph);
+  return out;
+}
+
+/// The intersection graph as ordered (f, g) pairs, f < g, with overlap
+/// sizes, accumulated in an ordered map: the straightforward reference
+/// for the marker sweep.
+std::map<std::pair<index_t, index_t>, index_t> map_intersections(
+    const Hypergraph& h) {
+  std::map<std::pair<index_t, index_t>, index_t> overlap;
+  for (index_t v = 0; v < h.num_vertices(); ++v) {
+    const auto edges = h.edges_of(v);
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      for (std::size_t j = i + 1; j < edges.size(); ++j) {
+        ++overlap[{edges[i], edges[j]}];
+      }
+    }
+  }
+  return overlap;
+}
 
 TEST(CliqueExpansion, EachEdgeBecomesAClique) {
   HypergraphBuilder b{5};
@@ -98,6 +133,23 @@ TEST(IntersectionGraph, QuadraticInVertexDegree) {
   EXPECT_EQ(g.num_edges(), 45u);  // C(10,2)
 }
 
+TEST(IntersectionGraph, MatchesOrderedMapReference) {
+  for (const auto& [name, h] : reference_instances()) {
+    SCOPED_TRACE(name);
+    std::vector<index_t> weights;
+    const graph::Graph g = intersection_graph(h, &weights);
+    const auto expected = map_intersections(h);
+    ASSERT_EQ(g.num_vertices(), h.num_edges());
+    ASSERT_EQ(g.num_edges(), expected.size());
+    ASSERT_EQ(weights.size(), expected.size());
+    std::size_t i = 0;
+    for (const auto& [pair, w] : expected) {
+      EXPECT_TRUE(g.has_edge(pair.first, pair.second));
+      EXPECT_EQ(weights[i++], w) << pair.first << "," << pair.second;
+    }
+  }
+}
+
 TEST(BipartiteGraph, StructureMatches) {
   const Hypergraph h = testing::toy_hypergraph();
   const graph::Graph b = bipartite_graph(h);
@@ -123,6 +175,16 @@ TEST(RepresentationCosts, HypergraphIsCheapestOnCliqueHeavyData) {
   EXPECT_LT(costs.hypergraph_pins, costs.clique_edges);
   EXPECT_LT(costs.hypergraph_bytes, costs.clique_bytes);
   EXPECT_EQ(costs.star_edges, 57u);  // 3 * (20 - 1)
+}
+
+TEST(RepresentationCosts, CountsEqualMaterializedGraphs) {
+  for (const auto& [name, h] : reference_instances()) {
+    std::vector<check::CheckFailure> failures;
+    check::check_representation_costs(h, failures);
+    for (const check::CheckFailure& f : failures) {
+      ADD_FAILURE() << name << ": " << f.detail;
+    }
+  }
 }
 
 }  // namespace
