@@ -9,12 +9,10 @@
 //     components) back up to date. This is the O(|dirty|) fast path a
 //     streaming consumer pays per update.
 //   * insert+cores -- the same edit but also refreshing the core
-//     decomposition each op. Honest row: on Cellzome-like topology a
-//     random edge lands in the giant component, the bounded repair's
-//     affected region is that whole component, and the repair escalates
-//     to a full re-peel -- so this row tracks the peel cost, not the
-//     dirty-region size. Small-component edits do repair in microseconds
-//     (see the repair counters the run prints).
+//     decomposition each op. Honest row: any window that touches a
+//     hyperedge re-peels the whole decomposition at the next cores()
+//     query (DESIGN.md section 12), so this row tracks the peel cost,
+//     not the dirty-region size (see the re-peel count the run prints).
 //   * batch-100 -- 100 single-edge updates with one coherence point
 //     (all artifacts including cores); reported per update. This is the
 //     amortization the batch API exists for.
@@ -65,8 +63,7 @@ struct InstanceTiming {
   hp::count_t num_vertices = 0;
   hp::count_t num_edges = 0;
   double rebuild_seconds = 0.0;
-  hp::count_t core_repairs = 0;
-  hp::count_t core_repair_fallbacks = 0;
+  hp::count_t core_repeels = 0;
   std::vector<WorkloadTiming> workloads;
 };
 
@@ -196,8 +193,7 @@ InstanceTiming run_instance(const std::string& name, const Hypergraph& base,
                     ? out.rebuild_seconds / w.per_update_seconds
                     : 0.0;
   }
-  out.core_repairs = ctx.apply_stats().core_repairs;
-  out.core_repair_fallbacks = ctx.apply_stats().core_repair_fallbacks;
+  out.core_repeels = ctx.apply_stats().core_repeels;
 
   // Self-check: every workload restored the structure, so the final
   // core ladder must be the initial one.
@@ -215,13 +211,12 @@ InstanceTiming run_instance(const std::string& name, const Hypergraph& base,
 
 void print_instance(const InstanceTiming& inst) {
   std::printf("\n--- %s (|V| = %llu, |F| = %llu; rebuild baseline %s; "
-              "%llu repairs, %llu fallbacks) ---\n",
+              "%llu core re-peels) ---\n",
               inst.name.c_str(),
               static_cast<unsigned long long>(inst.num_vertices),
               static_cast<unsigned long long>(inst.num_edges),
               hp::format_duration(inst.rebuild_seconds).c_str(),
-              static_cast<unsigned long long>(inst.core_repairs),
-              static_cast<unsigned long long>(inst.core_repair_fallbacks));
+              static_cast<unsigned long long>(inst.core_repeels));
   hp::Table t{{"workload", "per update", "updates", "vs rebuild"}};
   for (const WorkloadTiming& w : inst.workloads) {
     char speedup[32];
@@ -248,8 +243,7 @@ void write_json(const std::string& path,
         << "      \"num_vertices\": " << inst.num_vertices << ",\n"
         << "      \"num_edges\": " << inst.num_edges << ",\n"
         << "      \"rebuild_seconds\": " << inst.rebuild_seconds << ",\n"
-        << "      \"core_repairs\": " << inst.core_repairs << ",\n"
-        << "      \"core_repair_fallbacks\": " << inst.core_repair_fallbacks
+        << "      \"core_repeels\": " << inst.core_repeels
         << ",\n      \"workloads\": [\n";
     for (std::size_t j = 0; j < inst.workloads.size(); ++j) {
       const WorkloadTiming& w = inst.workloads[j];

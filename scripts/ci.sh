@@ -74,6 +74,22 @@ assert speedup >= 20.0, \
 print(f"mutate bench ok: {speedup:.1f}x single-update speedup vs rebuild "
       f"(gate: >= 20x)")
 EOF
+# A core read after every op must leave the ladder that a cold peel of
+# the written result reports.
+mut_dir="${prefix}/mutate-check"
+mkdir -p "${mut_dir}"
+"${prefix}/src/cli/hyperproteome" generate "${mut_dir}/calibrated.hyper"
+"${prefix}/src/cli/hyperproteome" mutate "${mut_dir}/calibrated.hyper" \
+  --ops 500 --batch 1 --out "${mut_dir}/m.hyper" > "${mut_dir}/mutate.txt"
+"${prefix}/src/cli/hyperproteome" core "${mut_dir}/m.hyper" \
+  > "${mut_dir}/core.txt"
+sed -n '/k-core ladder/,/^$/p' "${mut_dir}/mutate.txt" \
+  > "${mut_dir}/ladder_mutate.txt"
+sed -n '/k-core ladder/,/^$/p' "${mut_dir}/core.txt" \
+  > "${mut_dir}/ladder_core.txt"
+test -s "${mut_dir}/ladder_mutate.txt"
+diff "${mut_dir}/ladder_mutate.txt" "${mut_dir}/ladder_core.txt"
+echo "mutate ladder ok: 500 ops, a core read after each, match a cold peel"
 
 echo "=== snapshot format: round-trip + corruption + open-speed gate ==="
 snap_dir="${prefix}/snap-check"

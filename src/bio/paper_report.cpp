@@ -42,9 +42,14 @@ PaperReport analyze(const hyper::AnalysisContext& context) {
   PaperReport report;
   report.summary = context.summary();
   report.paths = context.paths();
-  report.degree_fit =
-      hyper::vertex_degree_power_law(context.vertex_degree_histogram());
-  report.size_fits = hyper::edge_size_fits(context.edge_size_histogram());
+  const Histogram& degrees = context.vertex_degree_histogram();
+  if (fittable(degrees.frequencies())) {
+    report.degree_fit = hyper::vertex_degree_power_law(degrees);
+  }
+  const Histogram& sizes = context.edge_size_histogram();
+  if (fittable(sizes.frequencies())) {
+    report.size_fits = hyper::edge_size_fits(sizes);
+  }
 
   Timer timer;
   const hyper::HyperCoreResult& cores = context.cores();
@@ -112,12 +117,15 @@ std::string render_report(const PaperReport& r, const PaperReference& ref) {
       .cell("average path length")
       .cell(opt_cell(ref.average_path))
       .cell(real_cell(r.paths.average_length));
+  const auto fit_cell = [&r](double PowerLawFit::*field) {
+    return r.degree_fit ? real_cell((*r.degree_fit).*field) : "n/a";
+  };
   t.row().cell("power-law gamma").cell(opt_cell(ref.gamma)).cell(
-      real_cell(r.degree_fit.gamma));
+      fit_cell(&PowerLawFit::gamma));
   t.row().cell("power-law log10(c)").cell(opt_cell(ref.log10_c)).cell(
-      real_cell(r.degree_fit.log10_c));
+      fit_cell(&PowerLawFit::log10_c));
   t.row().cell("power-law R^2").cell(opt_cell(ref.r_squared)).cell(
-      real_cell(r.degree_fit.r_squared));
+      fit_cell(&PowerLawFit::r_squared));
   t.row().cell("maximum core k").cell(opt_cell(ref.max_core)).cell(
       static_cast<std::uint64_t>(r.max_core));
   t.row().cell("core proteins").cell(opt_cell(ref.core_proteins)).cell(
@@ -151,10 +159,14 @@ std::string render_report(const PaperReport& r, const PaperReference& ref) {
 
   std::ostringstream out;
   out << t.to_string();
-  out << "\ncomplex size distribution fits: power R^2 = "
-      << real_cell(r.size_fits.power.r_squared) << ", exponential R^2 = "
-      << real_cell(r.size_fits.exponential.r_squared)
-      << " (both poor, as the paper observes)\n";
+  if (r.size_fits) {
+    out << "\ncomplex size distribution fits: power R^2 = "
+        << real_cell(r.size_fits->power.r_squared) << ", exponential R^2 = "
+        << real_cell(r.size_fits->exponential.r_squared)
+        << " (both poor, as the paper observes)\n";
+  } else {
+    out << "\ncomplex size distribution fits: n/a (one complex size)\n";
+  }
   out << "core decomposition time: " << format_duration(r.core_seconds)
       << '\n';
   return out.str();

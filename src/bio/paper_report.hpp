@@ -24,8 +24,10 @@ struct PaperReport {
   // Section 2.
   hyper::HypergraphSummary summary;
   hyper::HyperPathSummary paths;
-  PowerLawFit degree_fit;
-  hyper::EdgeSizeFits size_fits;
+  /// nullopt when every protein (complex) shares one degree (size):
+  /// a single point has no slope to fit.
+  std::optional<PowerLawFit> degree_fit;
+  std::optional<hyper::EdgeSizeFits> size_fits;
   // Section 3.
   index_t max_core = 0;
   index_t core_proteins = 0;

@@ -402,8 +402,8 @@ void check_mutation_trace(const Hypergraph& base,
                           std::vector<CheckFailure>& failures) {
   // Per-op pass: artifacts warm from the start, compared after every
   // step, so each incremental path (histogram moves, component unions
-  // and split searches, bounded core repairs) is exercised against a
-  // rebuild.
+  // and split searches, core re-peels and isolated-vertex extensions) is
+  // exercised against a rebuild.
   {
     MutableAnalysisContext ctx{base};
     warm_artifacts(ctx);
@@ -489,6 +489,29 @@ std::vector<MutationOp> bridge_trace(const Hypergraph& base,
   return trace;
 }
 
+std::vector<MutationOp> isolated_trace(const Hypergraph& base,
+                                       std::uint64_t seed) {
+  Rng rng{seed};
+  const index_t first = base.num_vertices();
+  const index_t added = 2 + static_cast<index_t>(rng.uniform(3));
+  std::vector<MutationOp> trace(added);  // add-vertex by default
+  MutationOp edge;
+  edge.kind = MutationOp::Kind::kAddEdge;
+  for (index_t v = first; v < first + added; ++v) {
+    if (v == first || rng.bernoulli(0.5)) edge.members.push_back(v);
+  }
+  trace.push_back(std::move(edge));
+  MutationOp unlink;
+  unlink.kind = MutationOp::Kind::kRemoveEdge;
+  unlink.target = base.num_edges();
+  trace.push_back(unlink);
+  MutationOp drop;
+  drop.kind = MutationOp::Kind::kRemoveVertex;
+  drop.target = first + static_cast<index_t>(rng.uniform(added));
+  trace.push_back(drop);
+  return trace;
+}
+
 namespace {
 
 /// Run one trace through the differential; on failure, shrink it and
@@ -528,6 +551,7 @@ void check_mutations(const Hypergraph& h, int num_ops,
   const std::uint64_t seed = structural_hash(h);
   check_and_shrink(h, generate_trace(h, seed, options), failures);
   check_and_shrink(h, bridge_trace(h, seed), failures);
+  check_and_shrink(h, isolated_trace(h, seed), failures);
 }
 
 }  // namespace hp::check

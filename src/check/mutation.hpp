@@ -60,6 +60,13 @@ std::vector<MutationOp> generate_trace(const hyper::Hypergraph& base,
 std::vector<MutationOp> bridge_trace(const hyper::Hypergraph& base,
                                      std::uint64_t seed);
 
+/// Two to four fresh vertices, one hyperedge among only them, its
+/// removal, then the removal of one of them: the isolated-vertex windows
+/// that extend the cores without a re-peel, next to windows that must
+/// re-peel.
+std::vector<MutationOp> isolated_trace(const hyper::Hypergraph& base,
+                                       std::uint64_t seed);
+
 /// Drive the incremental pipeline through `trace`, comparing every
 /// maintained artifact against a from-scratch rebuild after each op
 /// (and once more after a batched replay). Appends failures.
@@ -67,10 +74,10 @@ void check_mutation_trace(const hyper::Hypergraph& base,
                           const std::vector<MutationOp>& trace,
                           std::vector<CheckFailure>& failures);
 
-/// run_all_oracles entry point: a generate_trace trace and a
-/// bridge_trace, both seeded from a structural hash of the instance, so
-/// corpus replays and shrunk reproducers re-exercise the same mutations
-/// deterministically.
+/// run_all_oracles entry point: a generate_trace trace, a bridge_trace
+/// and an isolated_trace, all seeded from a structural hash of the
+/// instance, so corpus replays and shrunk reproducers re-exercise the
+/// same mutations deterministically.
 void check_mutations(const hyper::Hypergraph& h, int num_ops,
                      std::vector<CheckFailure>& failures);
 

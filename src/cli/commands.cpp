@@ -417,8 +417,7 @@ int cmd_mutate(const Args& args, std::ostream& out) {
       << "  mutations absorbed   : " << stats.mutations << '\n'
       << "  incremental updates  : " << stats.incremental_updates << '\n'
       << "  component rebuilds   : " << stats.component_rebuilds << '\n'
-      << "  core repairs         : " << stats.core_repairs << '\n'
-      << "  core repair fallbacks: " << stats.core_repair_fallbacks << '\n'
+      << "  core re-peels        : " << stats.core_repeels << '\n'
       << "  slot invalidations   : " << stats.slot_invalidations << '\n';
 
   if (args.get_bool("peel-stats", false)) {

@@ -35,10 +35,14 @@ int query_stats(QuerySession& session, const Args& args, std::ostream& out) {
     out << "diameter                  : " << paths.diameter << '\n'
         << "average path length       : " << paths.average_length << '\n';
   }
-  const PowerLawFit fit =
-      hyper::vertex_degree_power_law(ctx.vertex_degree_histogram());
-  out << "degree power-law exponent : " << fit.gamma
-      << " (R^2 = " << fit.r_squared << ")\n";
+  const Histogram& degrees = ctx.vertex_degree_histogram();
+  out << "degree power-law exponent : ";
+  if (fittable(degrees.frequencies())) {
+    const PowerLawFit fit = hyper::vertex_degree_power_law(degrees);
+    out << fit.gamma << " (R^2 = " << fit.r_squared << ")\n";
+  } else {
+    out << "n/a (one protein degree)\n";
+  }
   maybe_context_stats(args, ctx, out);
   return 0;
 }

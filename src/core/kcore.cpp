@@ -10,20 +10,33 @@
 
 namespace hp::hyper {
 
-std::vector<index_t> HyperCoreResult::core_vertices(index_t k) const {
-  std::vector<index_t> out;
-  for (index_t v = 0; v < vertex_core.size(); ++v) {
-    if (vertex_core[v] >= k) out.push_back(v);
+namespace {
+
+/// Ids whose core number is at least k, ascending. The count is one
+/// vectorizable pass; the fill then skips non-members in a loop that
+/// checks no bounds and never reallocates (a query reads this on every
+/// request, over all |V| or |F| ids).
+std::vector<index_t> ids_at_least(const std::vector<index_t>& core,
+                                  index_t k) {
+  const auto member = [k](index_t c) { return c >= k; };
+  std::vector<index_t> out(static_cast<std::size_t>(
+      std::count_if(core.begin(), core.end(), member)));
+  index_t id = 0;
+  for (index_t& slot : out) {
+    while (!member(core[id])) ++id;
+    slot = id++;
   }
   return out;
 }
 
+}  // namespace
+
+std::vector<index_t> HyperCoreResult::core_vertices(index_t k) const {
+  return ids_at_least(vertex_core, k);
+}
+
 std::vector<index_t> HyperCoreResult::core_edges(index_t k) const {
-  std::vector<index_t> out;
-  for (index_t e = 0; e < edge_core.size(); ++e) {
-    if (edge_core[e] >= k) out.push_back(e);
-  }
-  return out;
+  return ids_at_least(edge_core, k);
 }
 
 namespace {

@@ -50,8 +50,7 @@ struct HyperCoreResult {
   /// in_reduced[e] != 0 iff edge e survived the initial reduction (the
   /// level-0 residual). Not derivable from edge_core: reduction-removed
   /// and level-1-removed edges both report core 0, yet only the latter
-  /// counted toward level_edges[0]. Incremental core repair
-  /// (core/mutate/) needs this to maintain level_edges[0] under splices.
+  /// counted toward level_edges[0].
   std::vector<char> in_reduced;
   /// Largest k with a non-empty k-core.
   index_t max_core = 0;

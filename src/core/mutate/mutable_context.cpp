@@ -44,20 +44,6 @@ bool UnionFind::unite(index_t a, index_t b) {
 
 }  // namespace detail
 
-namespace {
-
-/// Bump-safe histogram access over exact-core counts.
-void bump(std::vector<count_t>& counts, index_t value, bool up) {
-  if (value >= counts.size()) counts.resize(value + 1, 0);
-  if (up) {
-    ++counts[value];
-  } else {
-    --counts[value];
-  }
-}
-
-}  // namespace
-
 MutableAnalysisContext::MutableAnalysisContext(const Hypergraph& base)
     : graph_(base) {}
 
@@ -74,21 +60,6 @@ void MutableAnalysisContext::grow_tracked_arrays() {
     while (label_.size() < n) {
       label_.push_back(static_cast<index_t>(uf_.parent.size()));
       uf_.grow(label_.back() + 1);
-    }
-  }
-  if (cores_counters_.built) {
-    const index_t old_n = static_cast<index_t>(cores_.vertex_core.size());
-    if (n > old_n) {
-      cores_.vertex_core.resize(n, 0);
-      bump(core_count_v_, 0, true);
-      core_count_v_[0] += (n - old_n) - 1;  // bump added the first one
-    }
-    const index_t old_e = static_cast<index_t>(cores_.edge_core.size());
-    if (slots > old_e) {
-      cores_.edge_core.resize(slots, 0);
-      cores_.in_reduced.resize(slots, 0);
-      bump(core_count_e_, 0, true);
-      core_count_e_[0] += (slots - old_e) - 1;
     }
   }
 }
@@ -166,22 +137,15 @@ void MutableAnalysisContext::apply() {
 
   if (cores_counters_.built) {
     HP_TRACE_SPAN("context.apply.cores");
-    for (const DirtyVertex& rec : region.vertices) {
-      pending_seeds_.push_back(rec.id);
-      if (rec.existed && !graph_.vertex_alive(rec.id)) {
-        pending_dead_vertices_.push_back(rec.id);
-      }
+    if (region.edges.empty()) {
+      // No hyperedge changed, so no degree, overlap or containment did:
+      // every core stands, and the new vertices, in no hyperedge, take
+      // core 0 (DESIGN.md 12).
+      cores_.vertex_core.resize(graph_.num_vertices(), 0);
+      cores_.level_vertices[0] = graph_.num_vertices();
+    } else {
+      cores_dirty_ = true;
     }
-    for (const DirtyEdge& rec : region.edges) {
-      if (graph_.edge_alive(rec.id)) {
-        const auto members = graph_.edge_members(rec.id);
-        pending_seeds_.insert(pending_seeds_.end(), members.begin(),
-                              members.end());
-      } else if (rec.existed) {
-        pending_dead_edges_.push_back(rec.id);
-      }
-    }
-    cores_dirty_ = true;
     ++cores_counters_.incremental_updates;
     ++apply_stats_.incremental_updates;
   }
@@ -475,12 +439,11 @@ const HyperComponents& MutableAnalysisContext::components() {
   return components_;
 }
 
-void MutableAnalysisContext::build_cores_full(bool count_as_fallback) {
+void MutableAnalysisContext::build_cores_full() {
   const MutableHypergraph::Snapshot& snap = graph_.snapshot();
-  const HyperCoreResult compact =
-      core_decomposition(snap.hypergraph, &peel_stats_);
+  HyperCoreResult compact = core_decomposition(snap.hypergraph, &peel_stats_);
   const index_t slots = graph_.num_edge_slots();
-  cores_.vertex_core = compact.vertex_core;
+  cores_.vertex_core = std::move(compact.vertex_core);
   cores_.edge_core.assign(slots, 0);
   cores_.in_reduced.assign(slots, 0);
   for (index_t j = 0; j < snap.edge_to_stable.size(); ++j) {
@@ -488,185 +451,26 @@ void MutableAnalysisContext::build_cores_full(bool count_as_fallback) {
     cores_.in_reduced[snap.edge_to_stable[j]] = compact.in_reduced[j];
   }
   cores_.max_core = compact.max_core;
-  cores_.level_vertices = compact.level_vertices;
-  cores_.level_edges = compact.level_edges;
-
-  core_count_v_.assign(compact.max_core + 1, 0);
-  for (index_t c : cores_.vertex_core) bump(core_count_v_, c, true);
-  core_count_e_.assign(compact.max_core + 1, 0);
-  for (index_t c : cores_.edge_core) bump(core_count_e_, c, true);
-  reduced_edge_count_ = compact.level_edges.empty()
-                            ? 0
-                            : compact.level_edges[0];
-
-  pending_seeds_.clear();
-  pending_dead_vertices_.clear();
-  pending_dead_edges_.clear();
-  if (count_as_fallback) {
-    ++peel_stats_.repair_fallbacks;
-    ++apply_stats_.core_repair_fallbacks;
-  }
-}
-
-void MutableAnalysisContext::recompute_levels() {
-  index_t max_core = 0;
-  for (index_t c = static_cast<index_t>(core_count_v_.size()); c-- > 1;) {
-    if (core_count_v_[c] > 0) {
-      max_core = c;
-      break;
-    }
-  }
-  cores_.max_core = max_core;
-  cores_.level_vertices.assign(max_core + 1, 0);
-  cores_.level_edges.assign(max_core + 1, 0);
-  cores_.level_vertices[0] = graph_.num_vertices();
-  cores_.level_edges[0] = static_cast<index_t>(reduced_edge_count_);
-  count_t suffix_v = 0;
-  count_t suffix_e = 0;
-  for (index_t k = max_core; k >= 1; --k) {
-    if (k < core_count_v_.size()) suffix_v += core_count_v_[k];
-    if (k < core_count_e_.size()) suffix_e += core_count_e_[k];
-    cores_.level_vertices[k] = static_cast<index_t>(suffix_v);
-    cores_.level_edges[k] = static_cast<index_t>(suffix_e);
-  }
-}
-
-void MutableAnalysisContext::repair_cores() {
-  HP_TRACE_SPAN("context.apply.cores.repair");
-  // Dead items first: tombstoned vertices and removed edges leave the
-  // core structure entirely (core 0, out of the reduced set).
-  for (index_t v : pending_dead_vertices_) {
-    const index_t old = cores_.vertex_core[v];
-    if (old != 0) {
-      bump(core_count_v_, old, false);
-      bump(core_count_v_, 0, true);
-      cores_.vertex_core[v] = 0;
-    }
-  }
-  for (index_t e : pending_dead_edges_) {
-    const index_t old = cores_.edge_core[e];
-    if (old != 0) {
-      bump(core_count_e_, old, false);
-      bump(core_count_e_, 0, true);
-      cores_.edge_core[e] = 0;
-    }
-    if (cores_.in_reduced[e] != 0) {
-      cores_.in_reduced[e] = 0;
-      --reduced_edge_count_;
-    }
-  }
-
-  // Flood the current components reachable from the live seeds; every
-  // unseeded component is provably unchanged (see file header of
-  // mutable_context.hpp).
-  ++mark_epoch_;
-  std::vector<index_t> affected_v;
-  std::vector<index_t> affected_e;
-  std::vector<index_t> stack;
-  for (index_t s : pending_seeds_) {
-    if (!graph_.vertex_alive(s) || vertex_mark_[s] == mark_epoch_) continue;
-    vertex_mark_[s] = mark_epoch_;
-    stack.push_back(s);
-    while (!stack.empty()) {
-      const index_t v = stack.back();
-      stack.pop_back();
-      affected_v.push_back(v);
-      for (index_t e : graph_.edges_of(v)) {
-        if (edge_mark_[e] == mark_epoch_) continue;
-        edge_mark_[e] = mark_epoch_;
-        affected_e.push_back(e);
-        for (index_t w : graph_.edge_members(e)) {
-          if (vertex_mark_[w] != mark_epoch_) {
-            vertex_mark_[w] = mark_epoch_;
-            stack.push_back(w);
-          }
-        }
-      }
-    }
-  }
-
-  if (static_cast<double>(affected_v.size()) >
-      repair_threshold_ * static_cast<double>(graph_.live_vertices())) {
-    build_cores_full(/*count_as_fallback=*/true);
-    return;
-  }
-
-  std::sort(affected_v.begin(), affected_v.end());
-  std::sort(affected_e.begin(), affected_e.end());
-
-  // Re-peel the affected components in isolation. Stable-ascending
-  // local ids keep the relative edge order of the full peel, so the
-  // lowest-id rule picks the same duplicate representatives.
-  if (vertex_local_.size() < vertex_mark_.size()) {
-    vertex_local_.resize(vertex_mark_.size(), 0);
-  }
-  for (index_t i = 0; i < affected_v.size(); ++i) {
-    vertex_local_[affected_v[i]] = i;
-  }
-  HypergraphBuilder builder{static_cast<index_t>(affected_v.size())};
-  std::vector<index_t> local_members;
-  for (index_t e : affected_e) {
-    const auto members = graph_.edge_members(e);
-    local_members.clear();
-    for (index_t w : members) local_members.push_back(vertex_local_[w]);
-    builder.add_edge(local_members);
-  }
-  const HyperCoreResult local =
-      core_decomposition(builder.build(), &peel_stats_);
-
-  for (index_t i = 0; i < affected_v.size(); ++i) {
-    const index_t v = affected_v[i];
-    const index_t old = cores_.vertex_core[v];
-    const index_t now = local.vertex_core[i];
-    if (old != now) {
-      bump(core_count_v_, old, false);
-      bump(core_count_v_, now, true);
-      cores_.vertex_core[v] = now;
-    }
-  }
-  for (index_t j = 0; j < affected_e.size(); ++j) {
-    const index_t e = affected_e[j];
-    const index_t old = cores_.edge_core[e];
-    const index_t now = local.edge_core[j];
-    if (old != now) {
-      bump(core_count_e_, old, false);
-      bump(core_count_e_, now, true);
-      cores_.edge_core[e] = now;
-    }
-    const char now_reduced = local.in_reduced[j];
-    if (cores_.in_reduced[e] != now_reduced) {
-      reduced_edge_count_ += now_reduced ? 1 : count_t{0};
-      reduced_edge_count_ -= now_reduced ? count_t{0} : 1;
-      cores_.in_reduced[e] = now_reduced;
-    }
-  }
-  recompute_levels();
-
-  ++peel_stats_.repairs;
-  peel_stats_.repaired_vertices += affected_v.size();
-  peel_stats_.repaired_edges += affected_e.size();
-  ++apply_stats_.core_repairs;
-  obs::counter("context.apply.core_repairs").add(1);
-
-  pending_seeds_.clear();
-  pending_dead_vertices_.clear();
-  pending_dead_edges_.clear();
+  cores_.level_vertices = std::move(compact.level_vertices);
+  cores_.level_edges = std::move(compact.level_edges);
 }
 
 const HyperCoreResult& MutableAnalysisContext::cores() {
   apply();
   if (!cores_counters_.built) {
-    build_cores_full(/*count_as_fallback=*/false);
+    build_cores_full();
     cores_counters_.built = true;
-    cores_dirty_ = false;
     ++cores_counters_.builds;
   } else {
     if (cores_dirty_) {
-      repair_cores();
-      cores_dirty_ = false;
+      HP_TRACE_SPAN("context.cores.repeel");
+      build_cores_full();
+      ++peel_stats_.repair_fallbacks;
+      ++apply_stats_.core_repeels;
     }
     ++cores_counters_.hits;
   }
+  cores_dirty_ = false;
   return cores_;
 }
 

@@ -11,9 +11,10 @@
 //                                 removal runs a balanced search at the
 //                                 next query and relabels only the
 //                                 pieces that split off (DESIGN.md 12)
-//     - core decomposition        bounded repair: re-peel only the
-//                                 components reachable from the dirty
-//                                 region (see cores() below)
+//     - core decomposition        the frontier peel over the snapshot,
+//                                 re-run at the next query after a
+//                                 window that touched a hyperedge;
+//                                 isolated-vertex windows extend it
 //
 //   Rebuild tier (full AnalysisContext over the materialized snapshot):
 //     dual, projections, overlaps, reduced, summary, paths keep their
@@ -21,15 +22,13 @@
 //     reset per-slot -- and only when mutations actually happened since
 //     the slots were built.
 //
-// Correctness of the bounded core repair rests on peeling being
-// component-local: overlaps and containment require shared vertices, so
-// the global peel restricted to one component is exactly that
-// component's own peel (including the lowest-id rule for duplicate
-// representatives, which only compares ids within a component). After a
-// mutation, any current component containing no seed (dirty vertex or
-// member of a dirty edge) is provably an unchanged old component, so
-// re-peeling the seeded components and splicing is bit-identical to a
-// full re-peel.
+// Cores have one path: the full peel. The only window it skips is one
+// that touched no hyperedge. Such a window only adds vertices (or drops
+// isolated ones); a vertex in no hyperedge changes no degree, overlap
+// or containment, so every core number stands and the new vertices
+// take core 0 (DESIGN.md 12). Containment rules out a sound smaller
+// repair unit than the component, and on protein-complex topology the
+// giant component is nearly the whole graph.
 // The differential fuzz oracle (src/check/mutation.hpp) holds this to
 // account on thousands of random mutation traces.
 //
@@ -103,8 +102,8 @@ class MutableAnalysisContext {
   /// Level counts, max_core and the compact-order invariants match
   /// core_decomposition(snapshot().hypergraph) exactly.
   const HyperCoreResult& cores();
-  /// Substrate + repair counters accumulated across all core builds and
-  /// repairs so far.
+  /// Substrate counters accumulated across all core builds and re-peels
+  /// so far.
   const PeelStats& core_peel_stats() const { return peel_stats_; }
 
   // --- rebuild tier --------------------------------------------------
@@ -114,20 +113,13 @@ class MutableAnalysisContext {
   /// invalidation) when mutations happened since the last call.
   AnalysisContext& analysis();
 
-  /// Fraction of live vertices the seeded region may reach before a
-  /// bounded repair escalates to a full re-peel (default 0.5).
-  void set_repair_threshold(double fraction) {
-    repair_threshold_ = fraction;
-  }
-
   struct ApplyStats {
     count_t applies = 0;             ///< non-empty apply() calls
     count_t mutations = 0;           ///< graph mutations absorbed
     count_t incremental_updates = 0; ///< artifact-level in-place updates
     count_t slot_invalidations = 0;  ///< rebuild-tier slots reset
     count_t component_rebuilds = 0;  ///< full component relabels
-    count_t core_repairs = 0;        ///< bounded subcore re-peels
-    count_t core_repair_fallbacks = 0;
+    count_t core_repeels = 0;        ///< full core re-peels after a build
   };
   const ApplyStats& apply_stats() const { return apply_stats_; }
 
@@ -149,9 +141,7 @@ class MutableAnalysisContext {
   void resolve_splits();
   void split_off(std::span<const index_t> seeds);
   void canonicalize_components();
-  void build_cores_full(bool count_as_fallback);
-  void repair_cores();
-  void recompute_levels();
+  void build_cores_full();
 
   MutableHypergraph graph_;
 
@@ -181,21 +171,14 @@ class MutableAnalysisContext {
 
   // cores
   CheapCounters cores_counters_;
-  HyperCoreResult cores_;                      // stable id space
-  std::vector<count_t> core_count_v_;          // #vertices per exact core
-  std::vector<count_t> core_count_e_;          // #edges per exact core
-  count_t reduced_edge_count_ = 0;             // live edges in level-0
-  std::vector<index_t> pending_seeds_;         // dirty vertices (stable)
-  std::vector<index_t> pending_dead_vertices_;
-  std::vector<index_t> pending_dead_edges_;
-  bool cores_dirty_ = false;
-  // BFS scratch, epoch-stamped to avoid O(V) clears per repair.
+  HyperCoreResult cores_;       // stable id space
+  bool cores_dirty_ = false;    // a hyperedge changed: re-peel on query
+  PeelStats peel_stats_;
+
+  // Search scratch, epoch-stamped to avoid O(V) clears per search.
   std::vector<std::uint64_t> vertex_mark_;
   std::vector<std::uint64_t> edge_mark_;
   std::uint64_t mark_epoch_ = 0;
-  std::vector<index_t> vertex_local_;  // stable -> local repair id
-  double repair_threshold_ = 0.5;
-  PeelStats peel_stats_;
 
   // rebuild tier
   std::unique_ptr<AnalysisContext> analysis_;

@@ -50,10 +50,10 @@ namespace hp::hyper {
 /// Entries are append-only hints, not exact positions: a vertex may sit
 /// in several buckets at once (one per degree it has passed through) and
 /// is validated against the live residual state at drain time. Compared
-/// to the exact decrease-key hp::BucketQueue this trades a bounded
-/// amount of slack (counted as frontier_wasted) for push paths that are
-/// branch-free and, in the parallel driver, mergeable from per-lane
-/// bags without locks.
+/// to the exact flat bins of the graph k-core (graph/graph_kcore.cpp)
+/// this trades a bounded amount of slack (counted as frontier_wasted)
+/// for push paths that are branch-free and, in the parallel driver,
+/// mergeable from per-lane bags without locks.
 class FrontierBuckets {
  public:
   /// Buckets 0..max_degree. Stats are optional.

@@ -16,8 +16,6 @@ obs::MetricsSnapshot to_metrics(const PeelStats& stats) {
       {"peel.frontier_wasted", stats.frontier_wasted},
       {"peel.repairs", stats.repairs},
       {"peel.repair_fallbacks", stats.repair_fallbacks},
-      {"peel.repaired_vertices", stats.repaired_vertices},
-      {"peel.repaired_edges", stats.repaired_edges},
   };
   return snap;
 }
@@ -34,8 +32,6 @@ void publish_metrics(const PeelStats& stats) {
   obs::counter("peel.frontier_wasted").add(stats.frontier_wasted);
   obs::counter("peel.repairs").add(stats.repairs);
   obs::counter("peel.repair_fallbacks").add(stats.repair_fallbacks);
-  obs::counter("peel.repaired_vertices").add(stats.repaired_vertices);
-  obs::counter("peel.repaired_edges").add(stats.repaired_edges);
   // Peaks do not sum across peels; last-write gauge keeps the largest
   // recent value observable without inventing max-counter semantics.
   obs::gauge("peel.peak_queue_length")

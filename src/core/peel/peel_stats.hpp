@@ -52,17 +52,14 @@ struct PeelStats {
   /// already dead, duplicate of an entry seen this level, or a lazy
   /// heap key that no longer matches). wasted <= pushes always.
   count_t frontier_wasted = 0;
-  /// Bounded subcore repairs performed by incremental core maintenance
-  /// (core/mutate/): each repair re-peels only the components reachable
-  /// from the dirty region.
+  /// Partial core repairs. Reads 0: a mutable context (core/mutate/)
+  /// never repairs part of a decomposition, it re-peels the whole one
+  /// (DESIGN.md section 12). Kept because the perfbench probes and the
+  /// "mutate.repairs" rows report it.
   count_t repairs = 0;
-  /// Repairs that escalated to a full re-peel because the affected
-  /// region exceeded the repair threshold.
+  /// Full re-peels by a mutable context after a mutation window that
+  /// touched a hyperedge (the cold build is not counted).
   count_t repair_fallbacks = 0;
-  /// Vertices / edges re-peeled across all bounded repairs (the
-  /// "repair size" -- compare against |V| / |F| to see the savings).
-  count_t repaired_vertices = 0;
-  count_t repaired_edges = 0;
 
   void note_queue_length(count_t length) {
     if (length > peak_queue_length) peak_queue_length = length;
@@ -80,8 +77,6 @@ struct PeelStats {
     frontier_wasted += other.frontier_wasted;
     repairs += other.repairs;
     repair_fallbacks += other.repair_fallbacks;
-    repaired_vertices += other.repaired_vertices;
-    repaired_edges += other.repaired_edges;
     return *this;
   }
 };

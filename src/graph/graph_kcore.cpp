@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/bucket_queue.hpp"
-
 namespace hp::graph {
 
 std::vector<index_t> CoreDecomposition::max_core_vertices() const {
@@ -17,28 +15,49 @@ std::vector<index_t> CoreDecomposition::max_core_vertices() const {
 CoreDecomposition core_decomposition(const Graph& g) {
   CoreDecomposition result;
   const index_t n = g.num_vertices();
-  result.core.assign(n, 0);
-  if (n == 0) return result;
-
-  std::vector<index_t> degree(n);
-  for (index_t v = 0; v < n; ++v) degree[v] = g.degree(v);
-  BucketQueue queue{degree, g.max_degree()};
-
-  index_t current_k = 0;
-  while (!queue.empty()) {
-    index_t min_deg = 0;
-    const index_t v = queue.pop_min(min_deg);
-    current_k = std::max(current_k, min_deg);
-    result.core[v] = current_k;
-    for (index_t u : g.neighbors(v)) {
-      // Standard Batagelj-Zaversnik rule: a neighbor's residual degree
-      // drops by one, but never below the current peel level.
-      if (queue.contains(u) && queue.priority(u) > min_deg) {
-        queue.decrease_key(u, queue.priority(u) - 1);
-      }
-    }
+  // Batagelj-Zaversnik (2003): vertices sit in one flat array sorted by
+  // residual degree, bin[d] marks where the degree-d block starts. A
+  // neighbor's drop swaps it to the front of its block and moves the
+  // boundary past it, so every decrement is O(1).
+  std::vector<index_t>& degree = result.core;  // ends as the core number
+  degree.resize(n);
+  std::vector<index_t> bin(static_cast<std::size_t>(g.max_degree()) + 1, 0);
+  for (index_t v = 0; v < n; ++v) {
+    degree[v] = g.degree(v);
+    ++bin[degree[v]];
   }
-  result.max_core = current_k;
+  index_t start = 0;
+  for (index_t& b : bin) {
+    const index_t count = b;
+    b = start;
+    start += count;
+  }
+  std::vector<index_t> order(n);
+  std::vector<index_t> position(n);
+  for (index_t v = 0; v < n; ++v) {
+    position[v] = bin[degree[v]]++;
+    order[position[v]] = v;
+  }
+  for (std::size_t d = bin.size() - 1; d > 0; --d) bin[d] = bin[d - 1];
+  bin[0] = 0;
+
+  for (index_t i = 0; i < n; ++i) {
+    const index_t v = order[i];
+    for (index_t u : g.neighbors(v)) {
+      if (degree[u] <= degree[v]) continue;
+      const index_t front = bin[degree[u]];
+      const index_t w = order[front];
+      if (u != w) {
+        order[position[u]] = w;
+        position[w] = position[u];
+        order[front] = u;
+        position[u] = front;
+      }
+      ++bin[degree[u]];
+      --degree[u];
+    }
+    result.max_core = std::max(result.max_core, degree[v]);
+  }
   return result;
 }
 

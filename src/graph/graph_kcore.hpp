@@ -22,7 +22,7 @@ struct CoreDecomposition {
   std::vector<index_t> max_core_vertices() const;
 };
 
-/// O(V + E) peeling via a bucket queue.
+/// O(V + E) peeling over flat degree bins.
 CoreDecomposition core_decomposition(const Graph& g);
 
 /// Vertices of the k-core (possibly empty).

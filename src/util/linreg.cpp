@@ -70,6 +70,14 @@ void collect_points(const std::vector<std::size_t>& frequencies,
 }
 }  // namespace
 
+bool fittable(const std::vector<std::size_t>& frequencies) {
+  std::size_t points = 0;
+  for (std::size_t d = 1; d < frequencies.size() && points < 2; ++d) {
+    points += frequencies[d] != 0 ? 1 : 0;
+  }
+  return points >= 2;
+}
+
 PowerLawFit power_law_fit(const std::vector<std::size_t>& frequencies) {
   std::vector<double> xs, ys;
   collect_points(frequencies, /*log_x=*/true, xs, ys);

@@ -32,6 +32,11 @@ struct PowerLawFit {
   std::size_t n = 0;       ///< number of (degree, frequency) points used
 };
 
+/// True when at least two values d >= 1 have nonzero frequency: the
+/// points power_law_fit and exponential_fit need. A table where every
+/// item shares one value has no slope to fit.
+bool fittable(const std::vector<std::size_t>& frequencies);
+
 /// Fit a power law to a frequency table: frequencies[d] is the number of
 /// items with value d (index 0 unused/ignored, as degree 0 has no log).
 /// Only entries with frequency > 0 participate, matching how the paper's

@@ -28,7 +28,9 @@ TEST(PaperReport, AnalyzeFillsEveryField) {
   EXPECT_EQ(r.summary.num_vertices, 300u);
   EXPECT_EQ(r.summary.num_edges, 60u);
   EXPECT_GT(r.paths.diameter, 0u);
-  EXPECT_GT(r.degree_fit.gamma, 0.0);
+  ASSERT_TRUE(r.degree_fit.has_value());
+  EXPECT_GT(r.degree_fit->gamma, 0.0);
+  EXPECT_TRUE(r.size_fits.has_value());
   EXPECT_GE(r.max_core, 2u);
   EXPECT_GT(r.core_proteins, 0u);
   EXPECT_GT(r.cover_unit_size, 0u);
@@ -59,6 +61,20 @@ TEST(PaperReport, RenderWithBlankReferenceUsesDashes) {
       render_report(surrogate_report(), PaperReference{});
   EXPECT_NE(text.find("| - "), std::string::npos);
   EXPECT_EQ(text.find("2.528"), std::string::npos);
+}
+
+TEST(PaperReport, OneDegreeAndOneSizeLeaveTheFitsEmpty) {
+  // Every protein in exactly one complex, every complex of size 2: no
+  // slope to fit on either distribution, and no error either.
+  hyper::HypergraphBuilder b{4};
+  b.add_edge({0, 1});
+  b.add_edge({2, 3});
+  const PaperReport r = analyze(b.build());
+  EXPECT_FALSE(r.degree_fit.has_value());
+  EXPECT_FALSE(r.size_fits.has_value());
+  const std::string text = render_report(r, PaperReference{});
+  EXPECT_NE(text.find("| n/a"), std::string::npos);
+  EXPECT_NE(text.find("fits: n/a"), std::string::npos);
 }
 
 }  // namespace

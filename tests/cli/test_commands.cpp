@@ -256,6 +256,56 @@ TEST_F(CliTest, ReportCommand) {
   EXPECT_NE(out.str().find("2-multicover size"), std::string::npos);
 }
 
+TEST_F(CliTest, OneProteinDegreePrintsNaFits) {
+  const std::string path = scratch_.file("cli_one_degree.tsv");
+  std::ofstream(path) << "C1\ta\tb\tc\nC2\td\te\n";
+  std::ostringstream report;
+  EXPECT_EQ(run(make_args({"report", path.c_str()}), report), 0)
+      << report.str();
+  EXPECT_NE(report.str().find("power-law gamma"), std::string::npos);
+  EXPECT_NE(report.str().find("| n/a"), std::string::npos);
+  std::ostringstream stats;
+  EXPECT_EQ(run(make_args({"stats", path.c_str()}), stats), 0) << stats.str();
+  EXPECT_NE(stats.str().find("exponent : n/a"), std::string::npos);
+}
+
+TEST_F(CliTest, OneComplexSizePrintsNaSizeFits) {
+  const std::string path = scratch_.file("cli_one_size.tsv");
+  std::ofstream(path) << "C1\ta\tb\nC2\tb\tc\n";
+  std::ostringstream report;
+  EXPECT_EQ(run(make_args({"report", path.c_str()}), report), 0)
+      << report.str();
+  EXPECT_NE(report.str().find("fits: n/a"), std::string::npos);
+}
+
+/// The "k-core ladder" block of a command's output, up to the blank
+/// line that ends it.
+std::string ladder_of(const std::string& text) {
+  const std::size_t begin = text.find("k-core ladder");
+  if (begin == std::string::npos) return "";
+  return text.substr(begin, text.find("\n\n", begin) - begin);
+}
+
+TEST_F(CliTest, MutateLadderMatchesCoreOnItsOutput) {
+  // A core read after every op keeps the cores current through 500
+  // mutations; a cold core run on the written result must agree.
+  const std::string input = dir_ + "/cli_mutate_in.hyper";
+  const std::string output = dir_ + "/cli_mutate_out.hyper";
+  std::ostringstream gen;
+  ASSERT_EQ(run(make_args({"generate", input.c_str()}), gen), 0);
+  std::ostringstream mutated;
+  ASSERT_EQ(run(make_args({"mutate", input.c_str(), "--ops", "500",
+                           "--batch", "1", "--out", output.c_str()}),
+                mutated),
+            0)
+      << mutated.str();
+  std::ostringstream cold;
+  ASSERT_EQ(run(make_args({"core", output.c_str()}), cold), 0);
+  ASSERT_FALSE(ladder_of(mutated.str()).empty());
+  EXPECT_EQ(ladder_of(mutated.str()), ladder_of(cold.str()));
+  EXPECT_NE(mutated.str().find("core re-peels"), std::string::npos);
+}
+
 TEST_F(CliTest, RenderWritesSvg) {
   const std::string path = dir_ + "/cli_fig3.svg";
   std::ostringstream out;

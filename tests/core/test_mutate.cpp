@@ -214,11 +214,37 @@ TEST(MutateContextTest, ApplyStatsCountRepairsAndInvalidations) {
   const auto& stats = ctx.apply_stats();
   EXPECT_EQ(stats.applies, 1u);
   EXPECT_EQ(stats.mutations, 1u);
-  EXPECT_EQ(stats.core_repairs + stats.core_repair_fallbacks, 1u);
+  EXPECT_EQ(stats.core_repeels, 1u);
 
   // The rebuild tier resets only built slots, and only on next access.
   ctx.analysis();
   EXPECT_GE(stats.slot_invalidations, 1u);
+}
+
+TEST(MutateContextTest, IsolatedVertexAddsNeedNoRepeel) {
+  MutableAnalysisContext ctx{testing::toy_hypergraph()};
+  ctx.cores();
+  const count_t deletions_before = ctx.core_peel_stats().vertex_deletions;
+  ctx.graph().add_vertex();
+  ctx.graph().add_vertex();
+  ctx.apply();
+  ctx.graph().add_vertex();
+  expect_matches_rebuild(ctx);
+  EXPECT_EQ(ctx.apply_stats().core_repeels, 0u);
+  EXPECT_EQ(ctx.core_peel_stats().vertex_deletions, deletions_before);
+  EXPECT_EQ(ctx.cores().level_vertices[0], ctx.graph().num_vertices());
+}
+
+TEST(MutateContextTest, AddVertexWindowWithAnEdgeCostsOneRepeel) {
+  MutableAnalysisContext ctx{testing::toy_hypergraph()};
+  ctx.cores();
+  const index_t a = ctx.graph().add_vertex();
+  const index_t b = ctx.graph().add_vertex();
+  ctx.graph().add_hyperedge({a, b, 0});
+  expect_matches_rebuild(ctx);
+  EXPECT_EQ(ctx.apply_stats().core_repeels, 1u);
+  EXPECT_EQ(ctx.core_peel_stats().repair_fallbacks, 1u);
+  EXPECT_EQ(ctx.core_peel_stats().repairs, 0u);
 }
 
 /// Two dense blocks {0..5} and {6..9} joined by the bridge {5, 6},

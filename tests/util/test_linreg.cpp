@@ -109,6 +109,14 @@ TEST(PowerLawFit, DegreeZeroOnlyPopulationThrowsInsteadOfInf) {
   EXPECT_THROW(power_law_fit({42, 0, 0, 3}), std::invalid_argument);
 }
 
+TEST(PowerLawFit, FittableNeedsTwoPositiveValues) {
+  EXPECT_FALSE(fittable({}));
+  EXPECT_FALSE(fittable({0, 5}));
+  EXPECT_FALSE(fittable({42, 0, 0, 3}));  // degree 0 never counts
+  EXPECT_TRUE(fittable({0, 5, 0, 1}));
+  EXPECT_TRUE(fittable({7, 0, 100, 0, 0, 10, 0, 1, 0}));
+}
+
 TEST(ExponentialFit, RecoversSyntheticRate) {
   // frequencies[d] = round(10000 * exp(-0.4 d))
   std::vector<std::size_t> freq(20, 0);
