@@ -16,7 +16,6 @@
 #include <cstdio>
 
 #include "bio/cellzome_synth.hpp"
-#include "core/context/analysis_context.hpp"
 #include "core/projection.hpp"
 #include "graph/graph_stats.hpp"
 #include "util/args.hpp"
@@ -24,9 +23,8 @@
 
 namespace {
 
-void cost_row(hp::Table& t, const char* name,
-              const hp::hyper::AnalysisContext& ctx) {
-  const hp::hyper::RepresentationCosts c = ctx.representation_costs();
+void cost_row(hp::Table& t, const char* name, const hp::hyper::Hypergraph& h) {
+  const hp::hyper::RepresentationCosts c = hp::hyper::representation_costs(h);
   t.row()
       .cell(name)
       .cell(static_cast<std::uint64_t>(c.hypergraph_pins))
@@ -46,17 +44,14 @@ int main(int argc, char** argv) {
 
   hp::bio::CellzomeParams params;
   params.seed = seed;
-  hp::bio::ComplexDataset data = hp::bio::cellzome_surrogate(params);
-  // One shared artifact cache: the projection graphs built for the cost
-  // table are the same objects reused by the clustering section below.
-  const hp::hyper::AnalysisContext ctx{std::move(data.hypergraph)};
+  const hp::hyper::Hypergraph h = hp::bio::cellzome_surrogate(params).hypergraph;
 
   std::puts(
       "=== Model comparison: hypergraph vs graph representations ===\n");
   {
     hp::Table t{{"dataset", "hypergraph pins", "clique edges", "star edges",
                  "intersection edges", "hypergraph bytes", "clique bytes"}};
-    cost_row(t, "cellzome", ctx);
+    cost_row(t, "cellzome", h);
 
     // Sweep: one complex of growing size n; clique cost grows as n^2.
     for (hp::index_t n : {10u, 20u, 40u, 80u}) {
@@ -66,8 +61,7 @@ int main(int argc, char** argv) {
       b.add_edge(all);
       char name[32];
       std::snprintf(name, sizeof name, "1 complex of %u", n);
-      const hp::hyper::AnalysisContext row_ctx{b.build()};
-      cost_row(t, name, row_ctx);
+      cost_row(t, name, b.build());
     }
 
     // Sweep: one protein in m complexes; intersection cost grows as m^2.
@@ -78,19 +72,19 @@ int main(int argc, char** argv) {
       }
       char name[32];
       std::snprintf(name, sizeof name, "1 protein in %u", m);
-      const hp::hyper::AnalysisContext row_ctx{b.build()};
-      cost_row(t, name, row_ctx);
+      cost_row(t, name, b.build());
     }
     t.print();
   }
 
   // Clustering-coefficient inflation from clique expansion: the one
-  // table that needs the graphs themselves, so the context builds them
-  // here (the costs above were counted without them).
+  // table that needs the graphs themselves, so it builds them here (the
+  // costs above were counted without them).
   std::puts("\n--- Clustering coefficient inflation (Maslov et al.) ---");
   {
-    const hp::graph::Graph& clique = ctx.clique_projection();
-    const hp::graph::Graph& star = ctx.star_projection();
+    const hp::graph::Graph clique = hp::hyper::clique_expansion(h);
+    const hp::graph::Graph star =
+        hp::hyper::star_expansion(h, hp::hyper::default_baits(h));
     hp::Table t{{"protein interaction model", "avg clustering coeff",
                  "transitivity"}};
     t.row()

@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
     const hp::bio::RecoveryStats hyper_stats =
         hp::bio::recovery_stats(core_vertices, planted);
 
-    const hp::graph::Graph& clique = ctx.clique_projection();
+    const hp::graph::Graph clique = hp::hyper::clique_expansion(h);
     const hp::graph::CoreDecomposition gcores =
         hp::graph::core_decomposition(clique);
     const auto graph_core = gcores.max_core_vertices();

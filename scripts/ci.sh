@@ -195,13 +195,12 @@ for e in events:
 assert all(d == 0 for d in depth.values()), f"unclosed spans: {depth}"
 
 names = {e["name"] for e in events}
-builds = sorted(n for n in names if n.startswith("context.build."))
-assert len(builds) >= 1, "no context artifact build spans"
-# The report reads none of these; prefetch() must leave them unbuilt.
-unread = {f"context.build.{a}" for a in (
-    "clique_projection", "star_projection", "intersection_projection",
-    "star_baits", "dual", "reduced_hypergraph")}
-assert not unread & names, f"report built unread artifacts: {sorted(unread & names)}"
+builds = {n for n in names if n.startswith("context.build.")}
+# The report builds exactly the seven context slots it reads.
+read = {f"context.build.{a}" for a in (
+    "components", "vertex_degree_histogram", "edge_size_histogram",
+    "overlap_table", "core_decomposition", "summary", "path_summary")}
+assert builds == read, f"context build spans {sorted(builds)} != {sorted(read)}"
 peel_levels = sum(
     1 for e in events
     if e["name"] == "kcore.peel_level" and e["ph"] == "B")

@@ -387,13 +387,33 @@ void check_covers(const Hypergraph& h, std::vector<CheckFailure>& failures) {
 void check_context(const Hypergraph& h, std::vector<CheckFailure>& failures) {
   hyper::AnalysisContext context{h};
 
-  // Cached artifacts must equal cold computations on the same input.
-  if (!same_structure(context.dual(), hyper::dual(h))) {
-    fail(failures, "context", "cached dual != cold dual");
+  // Every cached artifact must equal a cold computation on the same
+  // input.
+  const hyper::HyperComponents cold_components =
+      hyper::connected_components(h);
+  if (context.components().count != cold_components.count ||
+      context.components().vertex_label != cold_components.vertex_label ||
+      context.components().edge_label != cold_components.edge_label) {
+    fail(failures, "context", "cached components != cold labels");
   }
-  if (!same_structure(context.reduced().hypergraph,
-                      hyper::reduce(h).hypergraph)) {
-    fail(failures, "context", "cached reduced != cold reduce");
+  if (context.vertex_degree_histogram().frequencies() !=
+          hyper::vertex_degree_histogram(h).frequencies() ||
+      context.edge_size_histogram().frequencies() !=
+          hyper::edge_size_histogram(h).frequencies()) {
+    fail(failures, "context", "cached histograms != cold histograms");
+  }
+  const hyper::OverlapTable& overlaps = context.overlaps();
+  const hyper::OverlapTable cold_overlaps{h};
+  bool same_overlaps = overlaps.num_edges() == cold_overlaps.num_edges() &&
+                       overlaps.max_degree2() == cold_overlaps.max_degree2();
+  for (index_t f = 0; same_overlaps && f < overlaps.num_edges(); ++f) {
+    same_overlaps = std::ranges::equal(overlaps.neighbors(f),
+                                       cold_overlaps.neighbors(f)) &&
+                    std::ranges::equal(overlaps.counts(f),
+                                       cold_overlaps.counts(f));
+  }
+  if (!same_overlaps) {
+    fail(failures, "context", "cached overlap table != cold table");
   }
   const hyper::HyperCoreResult cold = hyper::core_decomposition(h);
   diff_cores_exact(context.cores(), cold, "context-vs-cold", failures);
@@ -409,11 +429,17 @@ void check_context(const Hypergraph& h, std::vector<CheckFailure>& failures) {
       cached.isolated_vertices != cold_summary.isolated_vertices) {
     fail(failures, "context", "cached summary != cold summarize()");
   }
+  const hyper::HyperPathSummary cold_paths = hyper::path_summary(h);
+  if (context.paths().diameter != cold_paths.diameter ||
+      context.paths().connected_pairs != cold_paths.connected_pairs ||
+      context.paths().average_length != cold_paths.average_length) {
+    fail(failures, "context", "cached paths != cold path_summary()");
+  }
 
   // Repeated access must serve the identical object (memoization, not
   // recomputation).
-  if (&context.dual() != &context.dual() ||
-      &context.cores() != &context.cores()) {
+  if (&context.cores() != &context.cores() ||
+      &context.paths() != &context.paths()) {
     fail(failures, "context", "repeated access rebuilt an artifact");
   }
 }

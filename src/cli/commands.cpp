@@ -417,8 +417,7 @@ int cmd_mutate(const Args& args, std::ostream& out) {
       << "  mutations absorbed   : " << stats.mutations << '\n'
       << "  incremental updates  : " << stats.incremental_updates << '\n'
       << "  component rebuilds   : " << stats.component_rebuilds << '\n'
-      << "  core re-peels        : " << stats.core_repeels << '\n'
-      << "  slot invalidations   : " << stats.slot_invalidations << '\n';
+      << "  core re-peels        : " << stats.core_repeels << '\n';
 
   if (args.get_bool("peel-stats", false)) {
     out << "\npeel substrate counters:\n"

@@ -1,7 +1,5 @@
 #include "core/context/analysis_context.hpp"
 
-#include "core/dual.hpp"
-#include "core/reduce.hpp"
 #include "par/thread_pool.hpp"
 
 namespace hp::hyper {
@@ -26,39 +24,7 @@ std::size_t cores_bytes(const HyperCoreResult& c) {
          vector_bytes(c.level_vertices) + vector_bytes(c.level_edges);
 }
 
-std::size_t sub_bytes(const SubHypergraph& s) {
-  return s.hypergraph.storage_bytes() + vector_bytes(s.vertex_to_parent) +
-         vector_bytes(s.edge_to_parent);
-}
-
 }  // namespace
-
-const Hypergraph& AnalysisContext::dual() const {
-  return dual_.get("context.build.dual",
-                   [&] { return ::hp::hyper::dual(hypergraph_); });
-}
-
-const graph::Graph& AnalysisContext::clique_projection() const {
-  return clique_.get("context.build.clique_projection",
-                     [&] { return clique_expansion(hypergraph_); });
-}
-
-const std::vector<index_t>& AnalysisContext::star_baits() const {
-  return star_baits_.get("context.build.star_baits",
-                         [&] { return default_baits(hypergraph_); });
-}
-
-const graph::Graph& AnalysisContext::star_projection() const {
-  return star_.get("context.build.star_projection", [&] {
-    return star_expansion(hypergraph_, star_baits());
-  });
-}
-
-const graph::Graph& AnalysisContext::intersection_projection() const {
-  return intersection_.get("context.build.intersection_projection", [&] {
-    return intersection_graph(hypergraph_, nullptr);
-  });
-}
 
 const HyperComponents& AnalysisContext::components() const {
   return components_.get("context.build.components", [&] {
@@ -83,11 +49,6 @@ const OverlapTable& AnalysisContext::overlaps() const {
                        [&] { return OverlapTable{hypergraph_}; });
 }
 
-const SubHypergraph& AnalysisContext::reduced() const {
-  return reduced_.get("context.build.reduced_hypergraph",
-                      [&] { return reduce(hypergraph_); });
-}
-
 const HyperCoreResult& AnalysisContext::cores() const {
   return cores_.get("context.build.core_decomposition", [&] {
     return core_decomposition(hypergraph_, &peel_stats_);
@@ -97,6 +58,10 @@ const HyperCoreResult& AnalysisContext::cores() const {
 const PeelStats& AnalysisContext::core_peel_stats() const {
   cores();  // ensure the decomposition (and its counters) exist
   return peel_stats_;
+}
+
+double AnalysisContext::core_build_seconds() const {
+  return cores_.build_seconds();
 }
 
 const HypergraphSummary& AnalysisContext::summary() const {
@@ -112,9 +77,6 @@ const HyperPathSummary& AnalysisContext::paths() const {
 
 void AnalysisContext::prefetch() const {
   HP_TRACE_SPAN("context.prefetch");
-  // Exactly the slots bio::analyze reads. The dual, the projections and
-  // the reduced hypergraph stay lazy: the report never reads them, and
-  // the projections are the O(n^2) graphs the paper argues against.
   // Independent roots fan out; a task blocking on a sibling's slot only
   // ever waits on a build that is actively running, and the slot
   // dependency graph is acyclic, so the group cannot deadlock.
@@ -129,45 +91,8 @@ void AnalysisContext::prefetch() const {
   summary();  // components() and overlaps() are warm now
 }
 
-index_t AnalysisContext::rebase(Hypergraph h) {
-  HP_TRACE_SPAN("context.apply.rebase");
-  hypergraph_ = std::move(h);
-  index_t reset_count = 0;
-  reset_count += dual_.reset() ? 1 : 0;
-  reset_count += clique_.reset() ? 1 : 0;
-  reset_count += star_baits_.reset() ? 1 : 0;
-  reset_count += star_.reset() ? 1 : 0;
-  reset_count += intersection_.reset() ? 1 : 0;
-  reset_count += components_.reset() ? 1 : 0;
-  reset_count += vertex_degree_histogram_.reset() ? 1 : 0;
-  reset_count += edge_size_histogram_.reset() ? 1 : 0;
-  reset_count += overlaps_.reset() ? 1 : 0;
-  reset_count += reduced_.reset() ? 1 : 0;
-  if (cores_.reset()) {
-    ++reset_count;
-    peel_stats_ = PeelStats{};
-  }
-  reset_count += summary_.reset() ? 1 : 0;
-  reset_count += paths_.reset() ? 1 : 0;
-  return reset_count;
-}
-
-RepresentationCosts AnalysisContext::representation_costs() const {
-  return ::hp::hyper::representation_costs(hypergraph_);
-}
-
 ContextStats AnalysisContext::stats() const {
-  const auto graph_bytes = [](const graph::Graph& g) {
-    return g.storage_bytes();
-  };
   ContextStats out;
-  out.artifacts.push_back(dual_.stats(
-      "dual", [](const Hypergraph& d) { return d.storage_bytes(); }));
-  out.artifacts.push_back(clique_.stats("clique projection", graph_bytes));
-  out.artifacts.push_back(star_baits_.stats("star baits", vector_bytes));
-  out.artifacts.push_back(star_.stats("star projection", graph_bytes));
-  out.artifacts.push_back(
-      intersection_.stats("intersection projection", graph_bytes));
   out.artifacts.push_back(components_.stats("components", components_bytes));
   out.artifacts.push_back(
       vertex_degree_histogram_.stats("vertex degree histogram",
@@ -176,7 +101,6 @@ ContextStats AnalysisContext::stats() const {
       edge_size_histogram_.stats("edge size histogram", histogram_bytes));
   out.artifacts.push_back(overlaps_.stats(
       "overlap table", [](const OverlapTable& t) { return t.storage_bytes(); }));
-  out.artifacts.push_back(reduced_.stats("reduced hypergraph", sub_bytes));
   out.artifacts.push_back(cores_.stats("core decomposition", cores_bytes));
   out.artifacts.push_back(summary_.stats(
       "summary", [](const HypergraphSummary&) { return sizeof(HypergraphSummary); }));

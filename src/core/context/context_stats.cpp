@@ -14,12 +14,6 @@ count_t ContextStats::total_hits() const {
   return total;
 }
 
-count_t ContextStats::total_invalidations() const {
-  count_t total = 0;
-  for (const ArtifactStats& a : artifacts) total += a.invalidations;
-  return total;
-}
-
 count_t ContextStats::total_incremental_updates() const {
   count_t total = 0;
   for (const ArtifactStats& a : artifacts) total += a.incremental_updates;
@@ -56,9 +50,6 @@ obs::MetricsSnapshot to_metrics(const ContextStats& stats) {
     const std::string prefix = "context." + slug(a.name);
     snap.counters.push_back({prefix + ".builds", a.builds});
     snap.counters.push_back({prefix + ".hits", a.hits});
-    if (a.invalidations > 0) {
-      snap.counters.push_back({prefix + ".invalidations", a.invalidations});
-    }
     if (a.incremental_updates > 0) {
       snap.counters.push_back(
           {prefix + ".incremental_updates", a.incremental_updates});
@@ -71,8 +62,6 @@ obs::MetricsSnapshot to_metrics(const ContextStats& stats) {
   }
   snap.counters.push_back({"context.total.builds", stats.total_builds()});
   snap.counters.push_back({"context.total.hits", stats.total_hits()});
-  snap.counters.push_back(
-      {"context.total.invalidations", stats.total_invalidations()});
   snap.counters.push_back({"context.total.incremental_updates",
                            stats.total_incremental_updates()});
   snap.gauges.push_back(

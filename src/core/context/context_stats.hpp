@@ -18,22 +18,17 @@ namespace hp::hyper {
 /// Counters for one memoized artifact slot.
 struct ArtifactStats {
   std::string name;
-  /// Accesses that had to build the artifact. On a static context this
-  /// is 0 (never requested) or 1 (built); under mutation a slot can be
-  /// invalidated and rebuilt, so builds can exceed 1 and
-  /// `builds - invalidations` tells whether the slot is currently warm.
+  /// Accesses that had to build the artifact: 0 (never requested) or 1
+  /// (built).
   count_t builds = 0;
   /// Accesses served from the cache after a build.
   count_t hits = 0;
-  /// Times the slot was reset (value dropped) by rebase()/mutation.
-  count_t invalidations = 0;
   /// In-place incremental updates applied to a built value instead of a
-  /// rebuild (the mutable pipeline's cheap tier).
+  /// rebuild (MutableAnalysisContext rows only).
   count_t incremental_updates = 0;
-  /// Wall-clock seconds spent building, summed over rebuilds.
+  /// Wall-clock seconds spent building.
   double build_seconds = 0.0;
-  /// Bytes held by the cached artifact *right now* (0 until built, and
-  /// back to 0 after an invalidation).
+  /// Bytes held by the cached artifact (0 until built).
   std::size_t bytes = 0;
 };
 
@@ -52,7 +47,6 @@ struct ContextStats {
 
   count_t total_builds() const;
   count_t total_hits() const;
-  count_t total_invalidations() const;
   count_t total_incremental_updates() const;
   double total_build_seconds() const;
   std::size_t total_bytes() const;

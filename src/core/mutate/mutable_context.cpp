@@ -149,8 +149,6 @@ void MutableAnalysisContext::apply() {
     ++cores_counters_.incremental_updates;
     ++apply_stats_.incremental_updates;
   }
-  // The rebuild tier is refreshed lazily: analysis() compares versions
-  // and rebases (per-slot invalidation) only when actually queried.
 }
 
 const std::vector<index_t>& MutableAnalysisContext::vertex_degrees() {
@@ -161,7 +159,6 @@ const std::vector<index_t>& MutableAnalysisContext::vertex_degrees() {
       degrees_[v] = graph_.vertex_degree(v);
     }
     degrees_counters_.built = true;
-    ++degrees_counters_.builds;
   } else {
     ++degrees_counters_.hits;
   }
@@ -176,7 +173,6 @@ const Histogram& MutableAnalysisContext::vertex_degree_histogram() {
       vertex_hist_.add(graph_.vertex_degree(v));
     }
     vertex_hist_counters_.built = true;
-    ++vertex_hist_counters_.builds;
   } else {
     ++vertex_hist_counters_.hits;
   }
@@ -191,7 +187,6 @@ const Histogram& MutableAnalysisContext::edge_size_histogram() {
       if (graph_.edge_alive(e)) edge_hist_.add(graph_.edge_size(e));
     }
     edge_hist_counters_.built = true;
-    ++edge_hist_counters_.builds;
   } else {
     ++edge_hist_counters_.hits;
   }
@@ -422,7 +417,6 @@ const HyperComponents& MutableAnalysisContext::components() {
     canonicalize_components();
     components_counters_.built = true;
     components_dirty_ = false;
-    ++components_counters_.builds;
   } else {
     if (components_dirty_) {
       if (labels_stale_) {
@@ -460,7 +454,6 @@ const HyperCoreResult& MutableAnalysisContext::cores() {
   if (!cores_counters_.built) {
     build_cores_full();
     cores_counters_.built = true;
-    ++cores_counters_.builds;
   } else {
     if (cores_dirty_) {
       HP_TRACE_SPAN("context.cores.repeel");
@@ -479,28 +472,13 @@ const MutableHypergraph::Snapshot& MutableAnalysisContext::snapshot() {
   return graph_.snapshot();
 }
 
-AnalysisContext& MutableAnalysisContext::analysis() {
-  apply();
-  const MutableHypergraph::Snapshot& snap = graph_.snapshot();
-  if (!analysis_) {
-    analysis_ = std::make_unique<AnalysisContext>(snap.hypergraph);
-    analysis_version_ = graph_.version();
-  } else if (analysis_version_ != graph_.version()) {
-    const index_t reset_count = analysis_->rebase(snap.hypergraph);
-    apply_stats_.slot_invalidations += reset_count;
-    obs::counter("context.apply.slot_invalidations").add(reset_count);
-    analysis_version_ = graph_.version();
-  }
-  return *analysis_;
-}
-
 ContextStats MutableAnalysisContext::stats() {
   ContextStats out;
   const auto row = [](const char* name, const CheapCounters& c,
                       std::size_t bytes) {
     ArtifactStats s;
     s.name = name;
-    s.builds = c.builds;
+    s.builds = c.built ? 1 : 0;
     s.hits = c.hits;
     s.incremental_updates = c.incremental_updates;
     s.bytes = c.built ? bytes : 0;
@@ -525,18 +503,8 @@ ContextStats MutableAnalysisContext::stats() {
            cores_.level_vertices.size() + cores_.level_edges.size()) *
                   sizeof(index_t) +
               cores_.in_reduced.size()));
-  // The unpacked mutable representation always lives on the heap; only
-  // the inner analysis context (rebased onto materialized snapshots)
-  // can be carrying mapped pages.
+  // The unpacked mutable representation always lives on the heap.
   out.hypergraph_owned_bytes = graph_.storage_bytes();
-  if (analysis_) {
-    ContextStats inner = analysis_->stats();
-    for (ArtifactStats& a : inner.artifacts) {
-      out.artifacts.push_back(std::move(a));
-    }
-    out.hypergraph_owned_bytes += inner.hypergraph_owned_bytes;
-    out.hypergraph_mapped_bytes += inner.hypergraph_mapped_bytes;
-  }
   return out;
 }
 

@@ -1,8 +1,8 @@
 // MutableAnalysisContext: the incremental analysis pipeline.
 //
-// Owns a MutableHypergraph plus two tiers of derived artifacts:
+// Owns a MutableHypergraph plus derived artifacts maintained in
+// *stable* id space, incrementally:
 //
-//   Cheap tier (maintained in *stable* id space, incrementally):
 //     - vertex degrees            O(|dirty|) per apply
 //     - vertex degree histogram   O(|dirty|), moves old bucket -> new
 //     - edge size histogram       O(|dirty|)
@@ -16,11 +16,9 @@
 //                                 window that touched a hyperedge;
 //                                 isolated-vertex windows extend it
 //
-//   Rebuild tier (full AnalysisContext over the materialized snapshot):
-//     dual, projections, overlaps, reduced, summary, paths keep their
-//     rebuild semantics, but via AnalysisContext::rebase() they are
-//     reset per-slot -- and only when mutations actually happened since
-//     the slots were built.
+// Any other analysis of the current version builds a fresh, build-once
+// AnalysisContext over the materialized snapshot:
+// `AnalysisContext full{ctx.snapshot().hypergraph};`.
 //
 // Cores have one path: the full peel. The only window it skips is one
 // that touched no hyperedge. Such a window only adds vertices (or drops
@@ -36,16 +34,15 @@
 // thread mutates and queries. Artifacts handed out by reference are
 // invalidated by the next apply()/mutation, exactly like iterators of a
 // std::vector under insert. Parallelism still happens *inside* builds
-// (the rebuild tier's prefetch, path summaries), which is safe because
-// apply() never runs concurrently with them.
+// (the frontier peel), which is safe because apply() never runs
+// concurrently with them.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "core/context/analysis_context.hpp"
+#include "core/context/context_stats.hpp"
 #include "core/kcore.hpp"
 #include "core/mutate/mutable_hypergraph.hpp"
 #include "core/peel/peel_stats.hpp"
@@ -83,13 +80,12 @@ class MutableAnalysisContext {
   MutableHypergraph& graph() { return graph_; }
   const MutableHypergraph& graph() const { return graph_; }
 
-  /// Absorb pending mutations into every *built* cheap-tier artifact
-  /// and mark the rebuild tier stale. No-op when the graph is clean.
+  /// Absorb pending mutations into every *built* artifact. No-op when
+  /// the graph is clean.
   void apply();
 
-  // --- cheap tier (stable id space; tombstones report degree 0 and
-  // --- form singleton components, matching their appearance in the
-  // --- materialized snapshot) ---------------------------------------
+  // Stable id space: tombstones report degree 0 and form singleton
+  // components, matching their appearance in the materialized snapshot.
   const std::vector<index_t>& vertex_degrees();
   const Histogram& vertex_degree_histogram();
   const Histogram& edge_size_histogram();
@@ -106,31 +102,24 @@ class MutableAnalysisContext {
   /// so far.
   const PeelStats& core_peel_stats() const { return peel_stats_; }
 
-  // --- rebuild tier --------------------------------------------------
   /// Materialized snapshot of the current version (cached).
   const MutableHypergraph::Snapshot& snapshot();
-  /// Full AnalysisContext over the snapshot; rebased lazily (per-slot
-  /// invalidation) when mutations happened since the last call.
-  AnalysisContext& analysis();
 
   struct ApplyStats {
     count_t applies = 0;             ///< non-empty apply() calls
     count_t mutations = 0;           ///< graph mutations absorbed
     count_t incremental_updates = 0; ///< artifact-level in-place updates
-    count_t slot_invalidations = 0;  ///< rebuild-tier slots reset
     count_t component_rebuilds = 0;  ///< full component relabels
     count_t core_repeels = 0;        ///< full core re-peels after a build
   };
   const ApplyStats& apply_stats() const { return apply_stats_; }
 
-  /// Cheap-tier rows (with incremental-update counts) followed by the
-  /// rebuild tier's per-slot rows when the inner context exists.
+  /// One row per artifact, with incremental-update counts.
   ContextStats stats();
 
  private:
   struct CheapCounters {
     bool built = false;
-    count_t builds = 0;
     count_t hits = 0;
     count_t incremental_updates = 0;
   };
@@ -179,10 +168,6 @@ class MutableAnalysisContext {
   std::vector<std::uint64_t> vertex_mark_;
   std::vector<std::uint64_t> edge_mark_;
   std::uint64_t mark_epoch_ = 0;
-
-  // rebuild tier
-  std::unique_ptr<AnalysisContext> analysis_;
-  std::uint64_t analysis_version_ = 0;
 
   ApplyStats apply_stats_;
 };

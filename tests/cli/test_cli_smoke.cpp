@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "cli/commands.hpp"
@@ -88,34 +89,38 @@ TEST_F(CliSmokeTest, WithoutFlagNoCounterBlock) {
   EXPECT_EQ(out.str().find("context artifact counters"), std::string::npos);
 }
 
+// Per-slot `context.<slug>.builds | counter | N` rows of a
+// --context-stats block, keyed by slug (the context.total.* aggregates
+// are skipped).
+std::map<std::string, std::uint64_t> slot_builds(const std::string& text) {
+  const std::string prefix = "context.";
+  std::map<std::string, std::uint64_t> builds;
+  std::istringstream lines{text.substr(text.find("context artifact counters"))};
+  std::string line;
+  while (std::getline(lines, line)) {
+    const std::size_t builds_col = line.find(".builds ");
+    if (line.rfind(prefix, 0) != 0 || builds_col == std::string::npos ||
+        line.rfind("context.total.", 0) == 0) {
+      continue;
+    }
+    std::istringstream value{line.substr(line.rfind('|') + 1)};
+    std::uint64_t n = 99;
+    value >> n;
+    builds[line.substr(prefix.size(), builds_col - prefix.size())] = n;
+  }
+  return builds;
+}
+
 TEST_F(CliSmokeTest, ReportContextStatsBuildsEachArtifactAtMostOnce) {
   std::ostringstream out;
   const int rc = run(
       make_args({"report", table_path_.c_str(), "--context-stats"}), out);
   EXPECT_EQ(rc, 0);
-  const std::string text = out.str();
-  const std::size_t block = text.find("context artifact counters");
-  ASSERT_NE(block, std::string::npos);
-  // Every per-artifact `context.<slug>.builds | counter | N` row shows 0
-  // or 1 builds -- nothing is ever rebuilt within one CLI invocation.
-  std::istringstream lines{text.substr(block)};
-  std::string line;
-  int rows = 0;
-  while (std::getline(lines, line)) {
-    const std::size_t builds_col = line.find(".builds ");
-    if (line.rfind("context.", 0) != 0 || builds_col == std::string::npos) {
-      continue;
-    }
-    if (line.rfind("context.total.", 0) == 0) continue;
-    const std::size_t last_sep = line.rfind('|');
-    ASSERT_NE(last_sep, std::string::npos) << line;
-    std::istringstream value{line.substr(last_sep + 1)};
-    std::uint64_t builds = 99;
-    value >> builds;
-    EXPECT_LE(builds, 1u) << line;
-    ++rows;
-  }
-  EXPECT_GT(rows, 10);
+  ASSERT_NE(out.str().find("context artifact counters"), std::string::npos);
+  // Nothing is ever rebuilt within one CLI invocation.
+  const std::map<std::string, std::uint64_t> builds = slot_builds(out.str());
+  for (const auto& [slug, n] : builds) EXPECT_LE(n, 1u) << slug;
+  EXPECT_EQ(builds.size(), 7u);
 }
 
 TEST_F(CliSmokeTest, ReportLeavesUnreadArtifactsCold) {
@@ -123,20 +128,15 @@ TEST_F(CliSmokeTest, ReportLeavesUnreadArtifactsCold) {
   const int rc = run(
       make_args({"report", table_path_.c_str(), "--context-stats"}), out);
   EXPECT_EQ(rc, 0);
-  const std::string text = out.str();
-  // The report reads none of these; prefetch() must not build them.
-  for (const char* slug :
-       {"dual", "clique_projection", "star_baits", "star_projection",
-        "intersection_projection", "reduced_hypergraph"}) {
-    const std::string key = std::string{"context."} + slug + ".builds ";
-    const std::size_t at = text.find(key);
-    ASSERT_NE(at, std::string::npos) << key;
-    const std::string line = text.substr(at, text.find('\n', at) - at);
-    std::istringstream value{line.substr(line.rfind('|') + 1)};
-    std::uint64_t builds = 99;
-    value >> builds;
-    EXPECT_EQ(builds, 0u) << line;
-  }
+  ASSERT_NE(out.str().find("context artifact counters"), std::string::npos);
+  // The context holds exactly the slots the report reads, and the
+  // report builds each of them once.
+  const std::map<std::string, std::uint64_t> expected = {
+      {"components", 1},         {"vertex_degree_histogram", 1},
+      {"edge_size_histogram", 1}, {"overlap_table", 1},
+      {"core_decomposition", 1}, {"summary", 1},
+      {"path_summary", 1}};
+  EXPECT_EQ(slot_builds(out.str()), expected);
 }
 
 TEST_F(CliSmokeTest, TraceFlagWritesParseableChromeTrace) {

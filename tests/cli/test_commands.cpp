@@ -278,6 +278,21 @@ TEST_F(CliTest, OneComplexSizePrintsNaSizeFits) {
   EXPECT_NE(report.str().find("fits: n/a"), std::string::npos);
 }
 
+TEST_F(CliTest, TwoComplexSizesAttributeThePoorFitsToThePaper) {
+  // Two sizes fit both curves exactly; the report must not call that
+  // poor on its own authority.
+  const std::string path = scratch_.file("cli_two_sizes.tsv");
+  std::ofstream(path) << "C1\ta\tb\tc\nC2\td\te\n";
+  std::ostringstream report;
+  EXPECT_EQ(run(make_args({"report", path.c_str()}), report), 0)
+      << report.str();
+  EXPECT_NE(report.str().find("power R^2 = 1.000, exponential R^2 = 1.000 "
+                              "(the paper reports both as poor)"),
+            std::string::npos)
+      << report.str();
+  EXPECT_EQ(report.str().find("as the paper observes"), std::string::npos);
+}
+
 /// The "k-core ladder" block of a command's output, up to the blank
 /// line that ends it.
 std::string ladder_of(const std::string& text) {

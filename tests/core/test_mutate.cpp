@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "check/mutation.hpp"
-#include "core/context/analysis_context.hpp"
 #include "core/kcore.hpp"
 #include "core/stats.hpp"
 #include "core/traversal.hpp"
@@ -202,12 +201,10 @@ TEST(MutateContextTest, IncrementalMatchesRebuildAcrossSeeds) {
   }
 }
 
-TEST(MutateContextTest, ApplyStatsCountRepairsAndInvalidations) {
+TEST(MutateContextTest, ApplyStatsCountAppliesAndRepeels) {
   MutableAnalysisContext ctx{testing::toy_hypergraph()};
   ctx.cores();
   ctx.components();
-  AnalysisContext& inner = ctx.analysis();
-  inner.cores();  // build a rebuild-tier slot so rebase has work
 
   ctx.graph().add_hyperedge({0, 4});
   ctx.cores();
@@ -215,10 +212,6 @@ TEST(MutateContextTest, ApplyStatsCountRepairsAndInvalidations) {
   EXPECT_EQ(stats.applies, 1u);
   EXPECT_EQ(stats.mutations, 1u);
   EXPECT_EQ(stats.core_repeels, 1u);
-
-  // The rebuild tier resets only built slots, and only on next access.
-  ctx.analysis();
-  EXPECT_GE(stats.slot_invalidations, 1u);
 }
 
 TEST(MutateContextTest, IsolatedVertexAddsNeedNoRepeel) {
@@ -336,26 +329,6 @@ TEST(MutateContextTest, UnqueriedRemovalWindowsRelabelOnce) {
   expect_matches_rebuild(ctx);
   EXPECT_EQ(ctx.components().count, 11u);
   EXPECT_EQ(ctx.apply_stats().component_rebuilds, 1u);
-}
-
-TEST(MutateContextTest, ContextBytesShrinkWhenSlotsReset) {
-  AnalysisContext ctx{testing::toy_hypergraph()};
-  ctx.cores();
-  ctx.dual();
-  const ContextStats before = ctx.stats();
-  EXPECT_GT(before.total_bytes(), 0u);
-
-  // Rebase to the same structure: every built slot resets, and the
-  // byte accounting must reflect the teardown immediately.
-  const index_t reset = ctx.rebase(testing::toy_hypergraph());
-  EXPECT_EQ(reset, 2u);
-  const ContextStats after = ctx.stats();
-  EXPECT_LT(after.total_bytes(), before.total_bytes());
-  EXPECT_EQ(after.total_invalidations(), 2u);
-
-  // Artifacts come back on demand and byte accounting grows again.
-  ctx.cores();
-  EXPECT_GT(ctx.stats().total_bytes(), after.total_bytes());
 }
 
 TEST(MutateContextTest, TraceShrinkerFindsMinimalFailingSubsequence) {
