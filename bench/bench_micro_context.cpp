@@ -15,7 +15,6 @@
 //
 // Usage: bench_micro_context [--seed N] [--quick] [--json PATH]
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -27,6 +26,7 @@
 #include "core/traversal.hpp"
 #include "mm/mm_synth.hpp"
 #include "mm/mm_to_hypergraph.hpp"
+#include "obs/json_check.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -38,6 +38,7 @@ volatile std::uint64_t g_sink = 0;
 
 using hp::hyper::AnalysisContext;
 using hp::hyper::Hypergraph;
+using hp::obs::json::Object;
 
 struct ArtifactCase {
   const char* name;
@@ -77,11 +78,11 @@ const ArtifactCase kCases[] = {
      }},
     {"overlap table",
      [](const AnalysisContext& c) {
-       return static_cast<std::uint64_t>(c.overlaps().max_degree2());
+       return static_cast<std::uint64_t>(c.overlaps().num_edges());
      },
      [](const Hypergraph& h) {
        return static_cast<std::uint64_t>(
-           hp::hyper::OverlapTable{h}.max_degree2());
+           hp::hyper::OverlapTable{h}.num_edges());
      }},
     {"core decomposition",
      [](const AnalysisContext& c) {
@@ -176,29 +177,6 @@ void print_instance(const InstanceTiming& inst) {
   t.print();
 }
 
-void write_json(const std::string& path,
-                const std::vector<InstanceTiming>& instances) {
-  std::ofstream out{path};
-  out << "{\n  \"benchmark\": \"bench_micro_context\",\n  \"instances\": [\n";
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const InstanceTiming& inst = instances[i];
-    out << "    {\n      \"name\": \"" << inst.name << "\",\n"
-        << "      \"num_vertices\": " << inst.num_vertices << ",\n"
-        << "      \"num_edges\": " << inst.num_edges << ",\n"
-        << "      \"artifacts\": [\n";
-    for (std::size_t j = 0; j < inst.artifacts.size(); ++j) {
-      const ArtifactTiming& a = inst.artifacts[j];
-      out << "        {\"name\": \"" << a.name << "\", \"cold_seconds\": "
-          << a.cold_seconds << ", \"cached_seconds\": " << a.cached_seconds
-          << ", \"rebuild_seconds\": " << a.rebuild_seconds
-          << ", \"speedup\": " << a.speedup << "}"
-          << (j + 1 < inst.artifacts.size() ? "," : "") << "\n";
-    }
-    out << "      ]\n    }" << (i + 1 < instances.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -254,7 +232,27 @@ int main(int argc, char** argv) {
       worst);
 
   if (!json_path.empty()) {
-    write_json(json_path, instances);
+    std::vector<Object> rows;
+    for (const InstanceTiming& inst : instances) {
+      std::vector<Object> artifacts;
+      for (const ArtifactTiming& a : inst.artifacts) {
+        artifacts.emplace_back()
+            .string("name", a.name)
+            .number("cold_seconds", a.cold_seconds)
+            .number("cached_seconds", a.cached_seconds)
+            .number("rebuild_seconds", a.rebuild_seconds)
+            .number("speedup", a.speedup);
+      }
+      rows.emplace_back()
+          .string("name", inst.name)
+          .integer("num_vertices", inst.num_vertices)
+          .integer("num_edges", inst.num_edges)
+          .objects("artifacts", artifacts);
+    }
+    Object{}
+        .string("benchmark", "bench_micro_context")
+        .objects("instances", rows)
+        .write_file(json_path);
     std::printf("wrote %s\n", json_path.c_str());
   }
   return 0;

@@ -16,19 +16,21 @@
 //
 // Usage: bench_micro_fuzz [--seed N] [--cases N] [--quick] [--json PATH]
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "check/generator.hpp"
 #include "check/oracles.hpp"
+#include "obs/json_check.hpp"
 #include "util/args.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace {
+
+using hp::obs::json::Object;
 
 volatile std::uint64_t g_sink = 0;
 
@@ -48,20 +50,6 @@ StageTiming time_stage(const char* name, std::uint64_t cases,
   t.cases_per_second =
       t.seconds > 0.0 ? static_cast<double>(cases) / t.seconds : 0.0;
   return t;
-}
-
-void write_json(const std::string& path, std::uint64_t cases,
-                const std::vector<StageTiming>& stages) {
-  std::ofstream out{path};
-  out << "{\n  \"benchmark\": \"bench_micro_fuzz\",\n  \"cases\": " << cases
-      << ",\n  \"stages\": [\n";
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    out << "    {\"name\": \"" << stages[i].name
-        << "\", \"seconds\": " << stages[i].seconds
-        << ", \"cases_per_second\": " << stages[i].cases_per_second << "}"
-        << (i + 1 < stages.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
 }
 
 }  // namespace
@@ -115,7 +103,20 @@ int main(int argc, char** argv) {
   }
   t.print();
 
-  if (!json_path.empty()) write_json(json_path, cases, stages);
+  if (!json_path.empty()) {
+    std::vector<Object> rows;
+    for (const StageTiming& s : stages) {
+      rows.emplace_back()
+          .string("name", s.name)
+          .number("seconds", s.seconds)
+          .number("cases_per_second", s.cases_per_second);
+    }
+    Object{}
+        .string("benchmark", "bench_micro_fuzz")
+        .integer("cases", cases)
+        .objects("stages", rows)
+        .write_file(json_path);
+  }
 
   const double full_rate = stages[2].cases_per_second;
   std::printf("\noracle-full throughput: %.0f cases/s (budget: >= 25)\n",

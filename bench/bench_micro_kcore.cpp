@@ -20,13 +20,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bio/cellzome_synth.hpp"
 #include "core/kcore.hpp"
 #include "core/kcore_naive.hpp"
+#include "obs/json_check.hpp"
 #include "par/thread_pool.hpp"
 #include "util/args.hpp"
 #include "util/rng.hpp"
@@ -202,21 +202,20 @@ int run_lane_ablation(const hp::Args& args) {
               static_cast<unsigned long long>(stats.frontier_wasted));
 
   if (!json_path.empty()) {
-    std::ofstream out{json_path};
-    out << "{\n  \"benchmark\": \"bench_micro_kcore\",\n"
-        << "  \"hardware_threads\": " << hp::par::hardware_threads() << ",\n"
-        << "  \"pool_lanes\": "
-        << hp::par::ThreadPool::global().thread_count() << ",\n"
-        << "  \"proteins\": " << proteins << ",\n"
-        << "  \"num_vertices\": " << big.num_vertices() << ",\n"
-        << "  \"num_edges\": " << big.num_edges() << ",\n"
-        << "  \"self_check\": true,\n"
-        << "  \"one_lane_seconds\": " << one_lane_seconds << ",\n"
-        << "  \"all_lanes_seconds\": " << all_lanes_seconds << ",\n"
-        << "  \"lane_speedup\": " << speedup << ",\n"
-        << "  \"frontier_pushes\": " << stats.frontier_pushes << ",\n"
-        << "  \"frontier_wasted\": " << stats.frontier_wasted
-        << "\n}\n";
+    hp::obs::json::Object{}
+        .string("benchmark", "bench_micro_kcore")
+        .integer("hardware_threads", hp::par::hardware_threads())
+        .integer("pool_lanes", hp::par::ThreadPool::global().thread_count())
+        .integer("proteins", proteins)
+        .integer("num_vertices", big.num_vertices())
+        .integer("num_edges", big.num_edges())
+        .boolean("self_check", true)
+        .number("one_lane_seconds", one_lane_seconds)
+        .number("all_lanes_seconds", all_lanes_seconds)
+        .number("lane_speedup", speedup)
+        .integer("frontier_pushes", stats.frontier_pushes)
+        .integer("frontier_wasted", stats.frontier_wasted)
+        .write_file(json_path);
     std::printf("wrote %s\n", json_path.c_str());
   }
   return 0;

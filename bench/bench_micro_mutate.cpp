@@ -32,13 +32,13 @@
 // Usage: bench_micro_mutate [--seed N] [--proteins N] [--quick] [--json PATH]
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bio/cellzome_synth.hpp"
 #include "core/context/analysis_context.hpp"
 #include "core/mutate/mutable_context.hpp"
+#include "obs/json_check.hpp"
 #include "util/args.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -50,6 +50,7 @@ using hp::index_t;
 using hp::hyper::AnalysisContext;
 using hp::hyper::Hypergraph;
 using hp::hyper::MutableAnalysisContext;
+using hp::obs::json::Object;
 
 struct WorkloadTiming {
   std::string name;
@@ -230,33 +231,6 @@ void print_instance(const InstanceTiming& inst) {
   t.print();
 }
 
-void write_json(const std::string& path,
-                const std::vector<InstanceTiming>& instances,
-                double gate_speedup) {
-  std::ofstream out{path};
-  out << "{\n  \"benchmark\": \"bench_micro_mutate\",\n"
-      << "  \"gate_speedup\": " << gate_speedup << ",\n"
-      << "  \"instances\": [\n";
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const InstanceTiming& inst = instances[i];
-    out << "    {\n      \"name\": \"" << inst.name << "\",\n"
-        << "      \"num_vertices\": " << inst.num_vertices << ",\n"
-        << "      \"num_edges\": " << inst.num_edges << ",\n"
-        << "      \"rebuild_seconds\": " << inst.rebuild_seconds << ",\n"
-        << "      \"core_repeels\": " << inst.core_repeels
-        << ",\n      \"workloads\": [\n";
-    for (std::size_t j = 0; j < inst.workloads.size(); ++j) {
-      const WorkloadTiming& w = inst.workloads[j];
-      out << "        {\"name\": \"" << w.name
-          << "\", \"per_update_seconds\": " << w.per_update_seconds
-          << ", \"updates\": " << w.updates << ", \"speedup\": " << w.speedup
-          << "}" << (j + 1 < inst.workloads.size() ? "," : "") << "\n";
-    }
-    out << "      ]\n    }" << (i + 1 < instances.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -304,7 +278,29 @@ int main(int argc, char** argv) {
               gate_speedup);
 
   if (!json_path.empty()) {
-    write_json(json_path, instances, gate_speedup);
+    std::vector<Object> rows;
+    for (const InstanceTiming& inst : instances) {
+      std::vector<Object> workloads;
+      for (const WorkloadTiming& w : inst.workloads) {
+        workloads.emplace_back()
+            .string("name", w.name)
+            .number("per_update_seconds", w.per_update_seconds)
+            .integer("updates", w.updates)
+            .number("speedup", w.speedup);
+      }
+      rows.emplace_back()
+          .string("name", inst.name)
+          .integer("num_vertices", inst.num_vertices)
+          .integer("num_edges", inst.num_edges)
+          .number("rebuild_seconds", inst.rebuild_seconds)
+          .integer("core_repeels", inst.core_repeels)
+          .objects("workloads", workloads);
+    }
+    Object{}
+        .string("benchmark", "bench_micro_mutate")
+        .number("gate_speedup", gate_speedup)
+        .objects("instances", rows)
+        .write_file(json_path);
     std::printf("wrote %s\n", json_path.c_str());
   }
   return 0;

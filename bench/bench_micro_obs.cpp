@@ -26,7 +26,6 @@
 //
 // Usage: bench_micro_obs [--seed N] [--proteins N] [--quick] [--json PATH]
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -226,29 +225,25 @@ int main(int argc, char** argv) {
               enabled_ok ? "yes" : "NO");
 
   if (!json_path.empty()) {
-    std::ofstream out{json_path};
-    out << "{\n  \"benchmark\": \"bench_micro_obs\",\n"
-        << "  \"surrogate_proteins\": " << proteins << ",\n"
-        << "  \"baseline_loop_ns\": " << baseline_ns << ",\n"
-        << "  \"disabled_span_ns\": " << disabled_span_ns << ",\n"
-        << "  \"disabled_counter_ns\": " << disabled_counter_ns << ",\n"
-        << "  \"enabled_span_ns\": " << enabled_span_ns << ",\n"
-        << "  \"peel_seconds_tracing_off\": " << peel.seconds_off << ",\n"
-        << "  \"peel_seconds_tracing_on\": " << peel.seconds_on << ",\n"
-        << "  \"peel_seconds_profiled\": " << peel.seconds_profiled << ",\n"
-        << "  \"profiler_samples\": " << peel.profile_samples << ",\n"
-        << "  \"trace_spans_per_peel\": " << peel.spans << ",\n"
-        << "  \"trace_counters_per_peel\": " << peel.counters << ",\n"
-        << "  \"derived_disabled_overhead_percent\": "
-        << derived_overhead_percent << ",\n"
-        << "  \"measured_enabled_overhead_percent\": "
-        << enabled_overhead_percent << ",\n"
-        << "  \"profiler_overhead_percent\": " << profiler_overhead_percent
-        << ",\n"
-        << "  \"disabled_within_0_1_percent\": "
-        << (disabled_ok ? "true" : "false") << ",\n"
-        << "  \"enabled_within_5_percent\": "
-        << (enabled_ok ? "true" : "false") << "\n}\n";
+    hp::obs::json::Object{}
+        .string("benchmark", "bench_micro_obs")
+        .integer("surrogate_proteins", proteins)
+        .number("baseline_loop_ns", baseline_ns)
+        .number("disabled_span_ns", disabled_span_ns)
+        .number("disabled_counter_ns", disabled_counter_ns)
+        .number("enabled_span_ns", enabled_span_ns)
+        .number("peel_seconds_tracing_off", peel.seconds_off)
+        .number("peel_seconds_tracing_on", peel.seconds_on)
+        .number("peel_seconds_profiled", peel.seconds_profiled)
+        .integer("profiler_samples", peel.profile_samples)
+        .integer("trace_spans_per_peel", peel.spans)
+        .integer("trace_counters_per_peel", peel.counters)
+        .number("derived_disabled_overhead_percent", derived_overhead_percent)
+        .number("measured_enabled_overhead_percent", enabled_overhead_percent)
+        .number("profiler_overhead_percent", profiler_overhead_percent)
+        .boolean("disabled_within_0_1_percent", disabled_ok)
+        .boolean("enabled_within_5_percent", enabled_ok)
+        .write_file(json_path);
     std::printf("wrote %s\n", json_path.c_str());
   }
   return disabled_ok && enabled_ok ? 0 : 1;

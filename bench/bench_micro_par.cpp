@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -32,6 +31,7 @@
 #include "core/traversal.hpp"
 #include "mm/mm_synth.hpp"
 #include "mm/mm_to_hypergraph.hpp"
+#include "obs/json_check.hpp"
 #include "par/thread_pool.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
@@ -40,6 +40,7 @@
 namespace {
 
 using hp::hyper::Hypergraph;
+using hp::obs::json::Object;
 
 volatile std::uint64_t g_sink = 0;
 
@@ -144,36 +145,6 @@ void print_instance(const InstanceTiming& inst) {
   t.print();
 }
 
-void write_json(const std::string& path,
-                const std::vector<InstanceTiming>& instances,
-                double bfs_speedup) {
-  std::ofstream out{path};
-  out << "{\n  \"benchmark\": \"bench_micro_par\",\n"
-      << "  \"hardware_threads\": " << hp::par::hardware_threads() << ",\n"
-      << "  \"pool_lanes\": "
-      << hp::par::ThreadPool::global().thread_count() << ",\n"
-      << "  \"bfs_speedup\": " << bfs_speedup << ",\n"
-      << "  \"instances\": [\n";
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const InstanceTiming& inst = instances[i];
-    out << "    {\n      \"name\": \"" << inst.name << "\",\n"
-        << "      \"num_vertices\": " << inst.num_vertices << ",\n"
-        << "      \"num_edges\": " << inst.num_edges << ",\n"
-        << "      \"workloads\": [\n";
-    for (std::size_t j = 0; j < inst.workloads.size(); ++j) {
-      const WorkloadTiming& w = inst.workloads[j];
-      out << "        {\"name\": \"" << w.name
-          << "\", \"serial_seconds\": " << w.serial_seconds
-          << ", \"pool_seconds\": " << w.pool_seconds
-          << ", \"speedup\": " << w.speedup << ", \"deterministic\": "
-          << (w.deterministic ? "true" : "false") << "}"
-          << (j + 1 < inst.workloads.size() ? "," : "") << "\n";
-    }
-    out << "      ]\n    }" << (i + 1 < instances.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -230,7 +201,30 @@ int main(int argc, char** argv) {
               bfs_speedup);
 
   if (!json_path.empty()) {
-    write_json(json_path, instances, bfs_speedup);
+    std::vector<Object> rows;
+    for (const InstanceTiming& inst : instances) {
+      std::vector<Object> workloads;
+      for (const WorkloadTiming& w : inst.workloads) {
+        workloads.emplace_back()
+            .string("name", w.name)
+            .number("serial_seconds", w.serial_seconds)
+            .number("pool_seconds", w.pool_seconds)
+            .number("speedup", w.speedup)
+            .boolean("deterministic", w.deterministic);
+      }
+      rows.emplace_back()
+          .string("name", inst.name)
+          .integer("num_vertices", inst.num_vertices)
+          .integer("num_edges", inst.num_edges)
+          .objects("workloads", workloads);
+    }
+    Object{}
+        .string("benchmark", "bench_micro_par")
+        .integer("hardware_threads", hp::par::hardware_threads())
+        .integer("pool_lanes", hp::par::ThreadPool::global().thread_count())
+        .number("bfs_speedup", bfs_speedup)
+        .objects("instances", rows)
+        .write_file(json_path);
     std::printf("wrote %s\n", json_path.c_str());
   }
   if (!determinism_ok) {

@@ -25,7 +25,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -34,6 +33,7 @@
 #include "bio/cellzome_synth.hpp"
 #include "bio/complex_io.hpp"
 #include "cli/commands.hpp"
+#include "obs/json_check.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "util/args.hpp"
@@ -246,19 +246,21 @@ int main(int argc, char** argv) {
               gate_speedup);
 
   if (!json_path.empty()) {
-    std::ofstream out{json_path};
-    out << "{\n  \"benchmark\": \"bench_micro_serve\",\n"
-        << "  \"gate_speedup\": " << gate_speedup << ",\n"
-        << "  \"cold_seconds\": " << cold_best << ",\n"
-        << "  \"warm_mean_seconds\": " << warm_mean << ",\n"
-        << "  \"warm_p50_us\": " << warm_p50 << ",\n"
-        << "  \"warm_p99_us\": " << warm_p99 << ",\n"
-        << "  \"open_loop\": {\"offered_rps\": " << loop.offered_rps
-        << ", \"achieved_rps\": " << loop.achieved_rps
-        << ", \"p50_us\": " << loop.p50_us
-        << ", \"p99_us\": " << loop.p99_us
-        << ", \"requests\": " << loop.requests
-        << ", \"errors\": " << loop.errors << "}\n}\n";
+    hp::obs::json::Object{}
+        .string("benchmark", "bench_micro_serve")
+        .number("gate_speedup", gate_speedup)
+        .number("cold_seconds", cold_best)
+        .number("warm_mean_seconds", warm_mean)
+        .number("warm_p50_us", warm_p50)
+        .number("warm_p99_us", warm_p99)
+        .object("open_loop", hp::obs::json::Object{}
+                                 .number("offered_rps", loop.offered_rps)
+                                 .number("achieved_rps", loop.achieved_rps)
+                                 .number("p50_us", loop.p50_us)
+                                 .number("p99_us", loop.p99_us)
+                                 .integer("requests", loop.requests)
+                                 .integer("errors", loop.errors))
+        .write_file(json_path);
     std::printf("wrote %s\n", json_path.c_str());
   }
 

@@ -45,6 +45,7 @@
 #include "core/hypergraph.hpp"
 #include "core/hypergraph_io.hpp"
 #include "core/snapshot/snapshot.hpp"
+#include "obs/json_check.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -53,6 +54,7 @@ namespace {
 
 using hp::index_t;
 using hp::hyper::Hypergraph;
+using hp::obs::json::Object;
 
 struct WorkloadTiming {
   std::string name;
@@ -210,33 +212,6 @@ void print_instance(const InstanceTiming& inst) {
   t.print();
 }
 
-void write_json(const std::string& path,
-                const std::vector<InstanceTiming>& instances,
-                double gate_speedup) {
-  std::ofstream out{path};
-  out << "{\n  \"benchmark\": \"bench_micro_snapshot\",\n"
-      << "  \"gate_speedup\": " << gate_speedup << ",\n"
-      << "  \"instances\": [\n";
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const InstanceTiming& inst = instances[i];
-    out << "    {\n      \"name\": \"" << inst.name << "\",\n"
-        << "      \"num_vertices\": " << inst.num_vertices << ",\n"
-        << "      \"num_edges\": " << inst.num_edges << ",\n"
-        << "      \"num_pins\": " << inst.num_pins
-        << ",\n      \"workloads\": [\n";
-    for (std::size_t j = 0; j < inst.workloads.size(); ++j) {
-      const WorkloadTiming& w = inst.workloads[j];
-      out << "        {\"name\": \"" << w.name
-          << "\", \"seconds\": " << w.seconds
-          << ", \"file_bytes\": " << w.file_bytes
-          << ", \"speedup\": " << w.speedup << "}"
-          << (j + 1 < inst.workloads.size() ? "," : "") << "\n";
-    }
-    out << "      ]\n    }" << (i + 1 < instances.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -281,7 +256,28 @@ int main(int argc, char** argv) {
               gate_speedup);
 
   if (!json_path.empty()) {
-    write_json(json_path, instances, gate_speedup);
+    std::vector<Object> rows;
+    for (const InstanceTiming& inst : instances) {
+      std::vector<Object> workloads;
+      for (const WorkloadTiming& w : inst.workloads) {
+        workloads.emplace_back()
+            .string("name", w.name)
+            .number("seconds", w.seconds)
+            .integer("file_bytes", w.file_bytes)
+            .number("speedup", w.speedup);
+      }
+      rows.emplace_back()
+          .string("name", inst.name)
+          .integer("num_vertices", inst.num_vertices)
+          .integer("num_edges", inst.num_edges)
+          .integer("num_pins", inst.num_pins)
+          .objects("workloads", workloads);
+    }
+    Object{}
+        .string("benchmark", "bench_micro_snapshot")
+        .number("gate_speedup", gate_speedup)
+        .objects("instances", rows)
+        .write_file(json_path);
     std::printf("wrote %s\n", json_path.c_str());
   }
   return 0;

@@ -135,9 +135,35 @@ EOF
 
 echo "=== fuzz pipeline throughput bench (quick) ==="
 "${prefix}/bench/bench_micro_fuzz" --quick --json "${root}/BENCH_fuzz.json"
+python3 - "${root}/BENCH_fuzz.json" <<'EOF'
+import json, sys
+
+bench = json.load(open(sys.argv[1]))
+assert set(bench) == {"benchmark", "cases", "stages"}, sorted(bench)
+assert bench["cases"] > 0, "fuzz bench ran no cases"
+stages = {s["name"]: s for s in bench["stages"]}
+assert set(stages) == {"generate", "oracle-lite", "oracle-full", "mutations"}, \
+    sorted(stages)
+rate = stages["oracle-full"]["cases_per_second"]
+print(f"fuzz bench ok: oracle-full {rate:.0f} cases/s over {bench['cases']} cases")
+EOF
 
 echo "=== context memoization bench (quick) ==="
 "${prefix}/bench/bench_micro_context" --quick --json "${root}/BENCH_context.json"
+python3 - "${root}/BENCH_context.json" <<'EOF'
+import json, sys
+
+bench = json.load(open(sys.argv[1]))
+assert set(bench) == {"benchmark", "instances"}, sorted(bench)
+assert bench["instances"], "context bench timed no instance"
+for inst in bench["instances"]:
+    assert {"name", "num_vertices", "num_edges", "artifacts"} <= set(inst)
+    assert len(inst["artifacts"]) == 7, \
+        f"{inst['name']}: {len(inst['artifacts'])} artifacts, expected 7"
+worst = min(a["speedup"] for i in bench["instances"] for a in i["artifacts"])
+print(f"context bench ok: {len(bench['instances'])} instances, "
+      f"worst cached-vs-rebuild speedup {worst:.0f}x")
+EOF
 
 echo "=== tracing overhead bench (quick) ==="
 "${prefix}/bench/bench_micro_obs" --quick --json "${root}/BENCH_obs.json"

@@ -3,35 +3,20 @@
 namespace hp::bio {
 
 BaitSelection select_baits(const hyper::Hypergraph& h, BaitStrategy strategy) {
+  // Degree^2 weights for both kDegreeSquared and kDoubleCoverage: the
+  // paper's 2-multicover has average bait degree 1.74, i.e. it too
+  // prefers low-degree baits rather than minimizing the bait count.
+  const hyper::MulticoverResult cover = hyper::greedy_multicover(
+      h,
+      strategy == BaitStrategy::kMinCardinality
+          ? hyper::unit_weights(h)
+          : hyper::degree_squared_weights(h),
+      strategy == BaitStrategy::kDoubleCoverage ? 2 : 1);
   BaitSelection selection;
   selection.strategy = strategy;
-  switch (strategy) {
-    case BaitStrategy::kMinCardinality: {
-      const hyper::CoverResult cover =
-          hyper::greedy_vertex_cover(h, hyper::unit_weights(h));
-      selection.baits = cover.vertices;
-      selection.average_degree = cover.average_degree;
-      break;
-    }
-    case BaitStrategy::kDegreeSquared: {
-      const hyper::CoverResult cover =
-          hyper::greedy_vertex_cover(h, hyper::degree_squared_weights(h));
-      selection.baits = cover.vertices;
-      selection.average_degree = cover.average_degree;
-      break;
-    }
-    case BaitStrategy::kDoubleCoverage: {
-      // Degree^2 weights, like kDegreeSquared: the paper's 2-multicover
-      // has average bait degree 1.74, i.e. it too prefers low-degree
-      // baits rather than minimizing the bait count.
-      const hyper::MulticoverResult cover = hyper::greedy_multicover(
-          h, hyper::degree_squared_weights(h), 2);
-      selection.baits = cover.vertices;
-      selection.average_degree = cover.average_degree;
-      selection.excluded_complexes = cover.clamped_edges;
-      break;
-    }
-  }
+  selection.baits = cover.vertices;
+  selection.average_degree = cover.average_degree;
+  selection.excluded_complexes = cover.clamped_edges;
   return selection;
 }
 

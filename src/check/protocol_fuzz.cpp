@@ -34,22 +34,15 @@ std::string random_name(Rng& rng, std::size_t max_len) {
   return out;
 }
 
-/// Text that survives a JSON round-trip exactly: printable ASCII plus
-/// the named escapes the reader decodes. Control characters outside
-/// this set are escaped as \u00XX, which the minimal reader passes
-/// through verbatim rather than decoding -- correct JSON, but not an
-/// identity round-trip, so the generator avoids them.
+/// Text of any bytes but NUL, the one byte a protocol string may not
+/// hold. Control bytes go out as named or \u00XX escapes and the
+/// reader decodes them back, so every draw must round-trip exactly.
 std::string random_text(Rng& rng, std::size_t max_len) {
-  static const char kEscapes[] = "\n\t\r\b\f\"\\";
   std::string out;
   const std::size_t len = rng.pick(max_len + 1);
   out.reserve(len);
   for (std::size_t i = 0; i < len; ++i) {
-    if (rng.bernoulli(0.08)) {
-      out += kEscapes[rng.pick(sizeof kEscapes - 1)];
-    } else {
-      out += static_cast<char>(0x20 + rng.pick(0x7f - 0x20));
-    }
+    out += static_cast<char>(1 + rng.pick(255));
   }
   return out;
 }

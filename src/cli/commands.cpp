@@ -773,8 +773,8 @@ int run(const Args& args, std::ostream& out) {
   }
   if (!metrics_path.empty()) {
     try {
-      obs::write_metrics_json_file(obs::Registry::global().snapshot(),
-                                   metrics_path);
+      obs::metrics_json(obs::Registry::global().snapshot())
+          .write_file(metrics_path);
       out << "wrote metrics " << metrics_path << '\n';
     } catch (const std::exception& error) {
       out << "error: " << error.what() << '\n';

@@ -95,24 +95,15 @@ int query_cover(QuerySession& session, const Args& args, std::ostream& out) {
   }
 
   const index_t r = static_cast<index_t>(args.get_int("multicover", 1));
-  std::vector<index_t> cover;
-  double avg_degree = 0.0;
-  if (r <= 1) {
-    const hyper::CoverResult result = hyper::greedy_vertex_cover(h, weights);
-    cover = result.vertices;
-    avg_degree = result.average_degree;
-  } else {
-    const hyper::MulticoverResult result =
-        hyper::greedy_multicover(h, weights, r);
-    cover = result.vertices;
-    avg_degree = result.average_degree;
-    if (!result.clamped_edges.empty()) {
-      out << result.clamped_edges.size()
-          << " hyperedges smaller than the requirement were clamped\n";
-    }
+  const hyper::MulticoverResult result =
+      hyper::greedy_multicover(h, weights, r <= 1 ? 1 : r);
+  const std::vector<index_t>& cover = result.vertices;
+  if (!result.clamped_edges.empty()) {
+    out << result.clamped_edges.size()
+        << " hyperedges smaller than the requirement were clamped\n";
   }
   out << "cover: " << cover.size() << " vertices, average degree "
-      << avg_degree << '\n';
+      << result.average_degree << '\n';
   const std::size_t limit =
       static_cast<std::size_t>(args.get_int("limit", 30));
   for (std::size_t i = 0; i < cover.size() && i < limit; ++i) {

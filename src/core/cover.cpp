@@ -1,8 +1,8 @@
 #include "core/cover.hpp"
 
-#include <limits>
+#include <utility>
 
-#include "util/lazy_heap.hpp"
+#include "core/multicover.hpp"
 
 namespace hp::hyper {
 
@@ -21,56 +21,13 @@ std::vector<double> degree_squared_weights(const Hypergraph& h) {
 
 CoverResult greedy_vertex_cover(const Hypergraph& h,
                                 const std::vector<double>& weights) {
-  HP_REQUIRE(weights.size() == h.num_vertices(),
-             "greedy_vertex_cover: weight vector size mismatch");
-  for (double w : weights) {
-    HP_REQUIRE(w >= 0.0, "greedy_vertex_cover: negative weight");
-  }
-
-  CoverResult result;
-  std::vector<bool> covered(h.num_edges(), false);
-  std::vector<bool> chosen(h.num_vertices(), false);
-  // uncovered[v] = |adj(v) ∩ F_i|, the number of not-yet-covered
-  // hyperedges v belongs to.
-  std::vector<index_t> uncovered(h.num_vertices());
-  index_t remaining = h.num_edges();
-
-  LazyMinHeap heap;
-  for (index_t v = 0; v < h.num_vertices(); ++v) {
-    uncovered[v] = h.vertex_degree(v);
-    if (uncovered[v] > 0) {
-      heap.push(v, weights[v] / static_cast<double>(uncovered[v]));
-    }
-  }
-
-  const auto current_key = [&](index_t v) {
-    return uncovered[v] > 0
-               ? weights[v] / static_cast<double>(uncovered[v])
-               : std::numeric_limits<double>::infinity();
-  };
-  const auto still_live = [&](index_t v) {
-    return !chosen[v] && uncovered[v] > 0;
-  };
-
-  while (remaining > 0) {
-    const index_t v = heap.pop_current(current_key, still_live);
-    chosen[v] = true;
-    result.vertices.push_back(v);
-    result.total_weight += weights[v];
-    for (index_t e : h.edges_of(v)) {
-      if (covered[e]) continue;
-      covered[e] = true;
-      --remaining;
-      for (index_t w : h.vertices_of(e)) {
-        if (!chosen[w] && uncovered[w] > 0) --uncovered[w];
-      }
-    }
-  }
-
-  result.average_degree = average_degree(h, result.vertices);
+  // Fig. 5 is the multicover loop with every requirement 1.
+  MulticoverResult cover = greedy_multicover(h, weights, 1);
   const double hm = harmonic(h.num_edges());
-  result.lower_bound = hm > 0.0 ? result.total_weight / hm : 0.0;
-  return result;
+  return {.vertices = std::move(cover.vertices),
+          .total_weight = cover.total_weight,
+          .average_degree = cover.average_degree,
+          .lower_bound = hm > 0.0 ? cover.total_weight / hm : 0.0};
 }
 
 bool is_vertex_cover(const Hypergraph& h, const std::vector<index_t>& cover) {

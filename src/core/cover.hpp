@@ -38,10 +38,9 @@ struct CoverResult {
 std::vector<double> unit_weights(const Hypergraph& h);
 std::vector<double> degree_squared_weights(const Hypergraph& h);
 
-/// Greedy weighted vertex cover. `weights` must have one non-negative
-/// entry per vertex; every hyperedge must be non-empty (guaranteed by
-/// HypergraphBuilder). Runs in O(|E| log |V| + sum_v d2(v)) time via a
-/// lazy-deletion heap.
+/// Greedy weighted vertex cover: greedy_multicover with every
+/// requirement 1, plus the lower bound. Runs in O(|E| log |V| + sum_v
+/// d2(v)) time via a lazy-deletion heap.
 CoverResult greedy_vertex_cover(const Hypergraph& h,
                                 const std::vector<double>& weights);
 

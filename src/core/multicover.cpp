@@ -15,6 +15,9 @@ MulticoverResult greedy_multicover(const Hypergraph& h,
              "greedy_multicover: weight vector size mismatch");
   HP_REQUIRE(requirements.size() == h.num_edges(),
              "greedy_multicover: requirements size mismatch");
+  for (double w : weights) {
+    HP_REQUIRE(w >= 0.0, "greedy_multicover: negative weight");
+  }
 
   MulticoverResult result;
   // Residual demand per edge, clamped to cardinality (>= 1 always, so

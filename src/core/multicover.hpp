@@ -29,9 +29,10 @@ struct MulticoverResult {
   std::vector<index_t> clamped_edges;
 };
 
-/// Greedy weighted multicover. requirements[f] >= 1 per edge; entries
-/// larger than edge_size(f) are clamped (and reported) because a vertex
-/// can hit an edge at most once.
+/// Greedy weighted multicover, the one greedy cover loop. `weights`
+/// holds one non-negative entry per vertex; requirements[f] >= 1 per
+/// edge; entries larger than edge_size(f) are clamped (and reported)
+/// because a vertex can hit an edge at most once.
 MulticoverResult greedy_multicover(const Hypergraph& h,
                                    const std::vector<double>& weights,
                                    const std::vector<index_t>& requirements);

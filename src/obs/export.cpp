@@ -11,7 +11,6 @@
 #include <map>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <thread>
 
 #include "util/common.hpp"
@@ -58,47 +57,6 @@ std::string prometheus_name(const std::string& name) {
     out += ok ? c : '_';
   }
   return out;
-}
-
-void write_json_string(std::ostream& out, const std::string& text) {
-  out << '"';
-  for (char c : text) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
-
-/// One snapshot as a single JSON line (no pretty printing: JSONL
-/// consumers split on '\n').
-void write_snapshot_line(const TimedSnapshot& timed, std::ostream& out) {
-  out << "{\"unix_ms\": " << timed.unix_ms
-      << ", \"uptime_ns\": " << timed.uptime_ns << ", \"counters\": {";
-  const MetricsSnapshot& s = timed.snapshot;
-  for (std::size_t i = 0; i < s.counters.size(); ++i) {
-    if (i != 0) out << ", ";
-    write_json_string(out, s.counters[i].name);
-    out << ": " << s.counters[i].value;
-  }
-  out << "}, \"gauges\": {";
-  for (std::size_t i = 0; i < s.gauges.size(); ++i) {
-    char value[64];
-    std::snprintf(value, sizeof value, "%.17g", s.gauges[i].value);
-    if (i != 0) out << ", ";
-    write_json_string(out, s.gauges[i].name);
-    out << ": " << value;
-  }
-  out << "}, \"histograms\": {";
-  for (std::size_t i = 0; i < s.histograms.size(); ++i) {
-    const HistogramSample& h = s.histograms[i];
-    if (i != 0) out << ", ";
-    write_json_string(out, h.name);
-    out << ": {\"count\": " << h.count << ", \"sum_ns\": " << h.sum_ns
-        << ", \"p50_ns\": " << h.p50_ns << ", \"p90_ns\": " << h.p90_ns
-        << ", \"p99_ns\": " << h.p99_ns << ", \"max_ns\": " << h.max_ns
-        << "}";
-  }
-  out << "}}\n";
 }
 
 }  // namespace
@@ -209,7 +167,11 @@ void append_metrics_jsonl(const TimedSnapshot& snapshot,
     throw InvalidInputError{"cannot open metrics output file '" + path +
                             "'"};
   }
-  write_snapshot_line(snapshot, out);
+  // One object per line: JSONL consumers split on '\n'.
+  json::Object record;
+  record.integer("unix_ms", snapshot.unix_ms)
+      .integer("uptime_ns", snapshot.uptime_ns);
+  out << metrics_json(snapshot.snapshot, std::move(record)).text() << '\n';
 }
 
 std::optional<std::chrono::milliseconds> parse_metrics_interval(

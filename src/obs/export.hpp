@@ -104,8 +104,9 @@ void write_prometheus(const MetricsSnapshot& snapshot, std::ostream& out);
 void write_prometheus_file(const MetricsSnapshot& snapshot,
                            const std::string& path);
 
-/// Append one snapshot as a single JSON line to `path`. Throws
-/// InvalidInputError when the file cannot be opened.
+/// Append one snapshot to `path` as a single JSON line: "unix_ms" and
+/// "uptime_ns", then the metrics_json members. Throws InvalidInputError
+/// when the file cannot be opened.
 void append_metrics_jsonl(const TimedSnapshot& snapshot,
                           const std::string& path);
 

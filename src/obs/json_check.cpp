@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <set>
 #include <vector>
@@ -166,15 +169,46 @@ class Parser {
         case 'b': out += '\b'; break;
         case 'f': out += '\f'; break;
         case 'u':
-          // Pass \uXXXX through undecoded; trace names never need it.
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          out += "\\u";
-          out.append(text_, pos_, 4);
-          pos_ += 4;
+          append_utf8(out, parse_code_point());
           break;
         default:
           fail("unknown escape");
       }
+    }
+  }
+
+  /// The four hex digits of a \uXXXX escape.
+  std::uint32_t parse_hex4() {
+    std::uint32_t value = 0;
+    const char* first = text_.data() + pos_;
+    if (pos_ + 4 > text_.size() ||
+        std::from_chars(first, first + 4, value, 16).ptr != first + 4) {
+      fail("\\u needs four hex digits");
+    }
+    pos_ += 4;
+    return value;
+  }
+
+  /// The code point of a \uXXXX escape whose "\u" is consumed: a high
+  /// surrogate must be followed by an escaped low one, and the pair
+  /// combines; a surrogate on its own is an error.
+  std::uint32_t parse_code_point() {
+    const std::uint32_t unit = parse_hex4();
+    if (unit >= 0xDC00 && unit <= 0xDFFF) fail("lone low surrogate");
+    if (unit < 0xD800 || unit > 0xDBFF) return unit;
+    if (!consume_literal("\\u")) fail("lone high surrogate");
+    const std::uint32_t low = parse_hex4();
+    if (low < 0xDC00 || low > 0xDFFF) fail("lone high surrogate");
+    return 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+  }
+
+  /// UTF-8: a lead byte marking the length, then 6 bits per byte.
+  static void append_utf8(std::string& out, std::uint32_t cp) {
+    static constexpr std::uint32_t kLead[] = {0x00, 0xC0, 0xE0, 0xF0};
+    const int tail = cp < 0x80 ? 0 : cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;
+    out += static_cast<char>(kLead[tail] | (cp >> (6 * tail)));
+    for (int i = tail - 1; i >= 0; --i) {
+      out += static_cast<char>(0x80 | ((cp >> (6 * i)) & 0x3F));
     }
   }
 
@@ -221,6 +255,109 @@ class Parser {
 };
 
 }  // namespace
+
+void append_quoted(std::string& out, std::string_view text) {
+  out.reserve(out.size() + text.size() + 2);
+  out += '"';
+  std::size_t run = 0;  // start of the bytes not yet copied
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
+      }
+    }
+  }
+  out.append(text.data() + run, text.size() - run);
+  out += '"';
+}
+
+void Object::key(std::string_view name) {
+  if (!body_.empty()) body_ += ", ";
+  append_quoted(body_, name);
+  body_ += ": ";
+}
+
+Object& Object::number(std::string_view name, double value) {
+  key(name);
+  if (!std::isfinite(value)) {
+    body_ += "null";
+    return *this;
+  }
+  char text[32];
+  const auto result = std::to_chars(text, text + sizeof text, value);
+  body_.append(text, result.ptr);
+  return *this;
+}
+
+Object& Object::integer(std::string_view name, std::uint64_t value) {
+  key(name);
+  body_ += std::to_string(value);
+  return *this;
+}
+
+Object& Object::integers(std::string_view name,
+                         const std::vector<std::uint64_t>& values) {
+  key(name);
+  body_ += '[';
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) body_ += ", ";
+    body_ += std::to_string(values[i]);
+  }
+  body_ += ']';
+  return *this;
+}
+
+Object& Object::boolean(std::string_view name, bool value) {
+  key(name);
+  body_ += value ? "true" : "false";
+  return *this;
+}
+
+Object& Object::string(std::string_view name, std::string_view value) {
+  key(name);
+  append_quoted(body_, value);
+  return *this;
+}
+
+Object& Object::object(std::string_view name, const Object& value) {
+  key(name);
+  body_ += value.text();
+  return *this;
+}
+
+Object& Object::objects(std::string_view name,
+                        const std::vector<Object>& values) {
+  key(name);
+  body_ += '[';
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) body_ += ", ";
+    body_ += values[i].text();
+  }
+  body_ += ']';
+  return *this;
+}
+
+void Object::write_file(const std::string& path) const {
+  std::ofstream out{path};
+  out << text() << '\n';
+  if (!out.flush()) {
+    throw InvalidInputError{"cannot write JSON file '" + path + "'"};
+  }
+}
 
 const Value* Value::find(const std::string& key) const {
   if (type != Type::kObject) return nullptr;

@@ -1,20 +1,50 @@
-// Minimal JSON reader + Chrome-trace structural validator.
-//
-// The obs exporters write JSON by hand (no third-party dependency); this
-// module closes the loop by parsing it back, so tests and tooling can
-// assert "the emitted file is valid JSON with well-formed trace events"
-// without a real JSON library. It is a strict RFC-8259 subset reader
-// (no comments, no trailing commas); escapes are decoded for \" \\ \/
-// \n \t \r \b \f and passed through verbatim for \uXXXX.
+// The project's one JSON module (no third-party dependency): the writer
+// every emitter uses (metrics, traces, wire frames, BENCH records), a
+// strict RFC-8259 subset reader (no comments, no trailing commas; every
+// escape decoded, \uXXXX to UTF-8) that reads back whatever the writer
+// quotes, and a Chrome-trace structural validator.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace hp::obs::json {
+
+/// Append `text` to `out` as a quoted JSON string: `"` and `\` are
+/// backslash-escaped, \b \f \n \r \t use their named escapes, every
+/// other byte below 0x20 becomes \u00xx, and all other bytes (UTF-8
+/// included) are copied verbatim.
+void append_quoted(std::string& out, std::string_view text);
+
+/// One JSON object built member by member, in call order. Doubles are
+/// written in their shortest round-trip form, and a non-finite double
+/// as null.
+class Object {
+ public:
+  Object& number(std::string_view key, double value);
+  Object& integer(std::string_view key, std::uint64_t value);
+  Object& integers(std::string_view key,
+                   const std::vector<std::uint64_t>& values);
+  Object& boolean(std::string_view key, bool value);
+  Object& string(std::string_view key, std::string_view value);
+  Object& object(std::string_view key, const Object& value);
+  Object& objects(std::string_view key, const std::vector<Object>& values);
+
+  /// The object on one line, without a trailing newline.
+  std::string text() const { return "{" + body_ + "}"; }
+
+  /// text() plus a newline to `path`; throws InvalidInputError when the
+  /// file cannot be written.
+  void write_file(const std::string& path) const;
+
+ private:
+  void key(std::string_view name);
+  std::string body_;
+};
 
 /// Mutable JSON document tree. Small inputs only (traces, metrics
 /// dumps); everything is stored by value.

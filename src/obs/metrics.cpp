@@ -2,11 +2,9 @@
 
 #include <bit>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <sstream>
 
 #include "util/common.hpp"
@@ -173,59 +171,29 @@ std::string render_table(const MetricsSnapshot& snapshot) {
   return table.to_string();
 }
 
-namespace {
-
-void write_escaped_name(std::ostream& out, const std::string& name) {
-  out << '"';
-  for (char c : name) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
+json::Object metrics_json(const MetricsSnapshot& snapshot,
+                          json::Object record) {
+  json::Object counters;
+  for (const CounterSample& s : snapshot.counters) {
+    counters.integer(s.name, s.value);
   }
-  out << '"';
-}
-
-}  // namespace
-
-void write_metrics_json(const MetricsSnapshot& snapshot, std::ostream& out) {
-  out << "{\n  \"counters\": {";
-  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
-    out << (i == 0 ? "\n    " : ",\n    ");
-    write_escaped_name(out, snapshot.counters[i].name);
-    out << ": " << snapshot.counters[i].value;
+  json::Object gauges;
+  for (const GaugeSample& s : snapshot.gauges) gauges.number(s.name, s.value);
+  json::Object histograms;
+  for (const HistogramSample& s : snapshot.histograms) {
+    histograms.object(s.name, json::Object{}
+                                  .integer("count", s.count)
+                                  .integer("sum_ns", s.sum_ns)
+                                  .integer("p50_ns", s.p50_ns)
+                                  .integer("p90_ns", s.p90_ns)
+                                  .integer("p99_ns", s.p99_ns)
+                                  .integer("max_ns", s.max_ns)
+                                  .integers("buckets", s.buckets));
   }
-  out << "\n  },\n  \"gauges\": {";
-  for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    char value[64];
-    std::snprintf(value, sizeof value, "%.17g", snapshot.gauges[i].value);
-    out << (i == 0 ? "\n    " : ",\n    ");
-    write_escaped_name(out, snapshot.gauges[i].name);
-    out << ": " << value;
-  }
-  out << "\n  },\n  \"histograms\": {";
-  for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    const HistogramSample& s = snapshot.histograms[i];
-    out << (i == 0 ? "\n    " : ",\n    ");
-    write_escaped_name(out, s.name);
-    out << ": {\"count\": " << s.count << ", \"sum_ns\": " << s.sum_ns
-        << ", \"p50_ns\": " << s.p50_ns << ", \"p90_ns\": " << s.p90_ns
-        << ", \"p99_ns\": " << s.p99_ns << ", \"max_ns\": " << s.max_ns
-        << ", \"buckets\": [";
-    for (std::size_t b = 0; b < s.buckets.size(); ++b) {
-      out << (b == 0 ? "" : ", ") << s.buckets[b];
-    }
-    out << "]}";
-  }
-  out << "\n  }\n}\n";
-}
-
-void write_metrics_json_file(const MetricsSnapshot& snapshot,
-                             const std::string& path) {
-  std::ofstream out{path};
-  if (!out) {
-    throw InvalidInputError{"cannot open metrics output file '" + path +
-                            "'"};
-  }
-  write_metrics_json(snapshot, out);
+  record.object("counters", counters)
+      .object("gauges", gauges)
+      .object("histograms", histograms);
+  return record;
 }
 
 }  // namespace hp::obs

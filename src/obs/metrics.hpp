@@ -15,9 +15,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
+
+#include "obs/json_check.hpp"
 
 namespace hp::obs {
 
@@ -151,12 +152,11 @@ LatencyHistogram& latency(const std::string& name);
 /// count/p50/p90/max with human-readable durations).
 std::string render_table(const MetricsSnapshot& snapshot);
 
-/// JSON export: {"counters": {...}, "gauges": {...}, "histograms":
-/// {name: {count, sum_ns, p50_ns, ..., buckets}}}.
-void write_metrics_json(const MetricsSnapshot& snapshot, std::ostream& out);
-
-/// write_metrics_json to `path`; throws InvalidInputError on failure.
-void write_metrics_json_file(const MetricsSnapshot& snapshot,
-                             const std::string& path);
+/// The one JSON form of a snapshot: "counters" {name: value}, "gauges"
+/// {name: value} and "histograms" {name: {count, sum_ns, p50_ns, p90_ns,
+/// p99_ns, max_ns, buckets}}, appended as members to `record` so a
+/// caller can lead with its own (the JSONL sink's timestamps).
+json::Object metrics_json(const MetricsSnapshot& snapshot,
+                          json::Object record = {});
 
 }  // namespace hp::obs

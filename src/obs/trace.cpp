@@ -2,13 +2,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <vector>
 
+#include "obs/json_check.hpp"
 #include "obs/metrics.hpp"
 #include "util/common.hpp"
 #include "util/log.hpp"
@@ -114,62 +114,33 @@ void append(const TraceEvent& event) {
   }
 }
 
-/// Minimal JSON string escaping; names are library-controlled literals,
-/// but a rogue quote must not corrupt the file.
-void write_escaped(std::ostream& out, const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    switch (*p) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        out << *p;
-    }
-  }
-}
-
-void write_event(std::ostream& out, const TraceEvent& e, std::uint32_t tid) {
-  char ts[32];
-  std::snprintf(ts, sizeof ts, "%.3f", static_cast<double>(e.ts_ns) / 1e3);
-  out << "{\"name\": \"";
-  write_escaped(out, e.name);
-  out << "\", \"ph\": \"" << e.phase << "\", \"pid\": 1, \"tid\": " << tid
-      << ", \"ts\": " << ts;
+json::Object event_json(const TraceEvent& e, std::uint32_t tid) {
+  json::Object event;
+  event.string("name", e.name)
+      .string("ph", std::string_view{&e.phase, 1})
+      .integer("pid", 1)
+      .integer("tid", tid)
+      .number("ts", static_cast<double>(e.ts_ns) / 1e3);
   if (e.phase == 'C') {
-    char value[64];
-    std::snprintf(value, sizeof value, "%.17g", e.value);
-    out << ", \"args\": {\"value\": " << value << "}";
+    event.object("args", json::Object{}.number("value", e.value));
   } else if (e.phase == 's' || e.phase == 'f') {
     // Flow events bind to the enclosing slice; "bp": "e" makes the
     // finish attach to the slice it is emitted inside of.
-    out << ", \"cat\": \"par\", \"id\": " << e.span_id;
-    if (e.phase == 'f') out << ", \"bp\": \"e\"";
+    event.string("cat", "par").integer("id", e.span_id);
+    if (e.phase == 'f') event.string("bp", "e");
   } else if (e.phase == 'B') {
-    out << ", \"args\": {";
-    bool first = true;
-    if (e.arg != kNoTraceArg) {
-      out << "\"k\": " << e.arg;
-      first = false;
-    }
+    json::Object args;
+    if (e.arg != kNoTraceArg) args.integer("k", e.arg);
     if (e.trace_id != 0) {
-      out << (first ? "" : ", ") << "\"trace\": " << e.trace_id
-          << ", \"span\": " << e.span_id << ", \"parent\": " << e.parent_id;
-      first = false;
+      args.integer("trace", e.trace_id)
+          .integer("span", e.span_id)
+          .integer("parent", e.parent_id);
     }
-    out << "}";
+    event.object("args", args);
   } else if (e.arg != kNoTraceArg) {
-    out << ", \"args\": {\"k\": " << e.arg << "}";
+    event.object("args", json::Object{}.integer("k", e.arg));
   }
-  out << "}";
+  return event;
 }
 
 Counter& slow_span_counter() {
@@ -313,9 +284,9 @@ void write_chrome_trace(std::ostream& out) {
   for (const auto& buffer : r.buffers) {
     const std::lock_guard<std::mutex> lock{buffer->mutex};
     for (const TraceEvent& event : buffer->events) {
-      out << (first ? "\n" : ",\n");
+      out << (first ? "\n" : ",\n")
+          << event_json(event, buffer->tid).text();
       first = false;
-      write_event(out, event, buffer->tid);
     }
   }
   out << "\n], \"displayTimeUnit\": \"ms\"}\n";

@@ -1,7 +1,6 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 #include "obs/json_check.hpp"
 #include "util/common.hpp"
@@ -10,6 +9,7 @@ namespace hp::serve::proto {
 
 namespace {
 
+using obs::json::append_quoted;
 using obs::json::Value;
 
 [[noreturn]] void fail(const std::string& why) {
@@ -166,35 +166,31 @@ std::string format_request(const Request& request) {
              "format_request: path too long");
   HP_REQUIRE(request.args.size() <= kMaxArgs,
              "format_request: too many args");
-  std::string out = "{";
+  obs::json::Object frame;
   if (request.has_id()) {
     HP_REQUIRE(request.id <= kMaxIntegerField,
                "format_request: id out of range");
-    out += "\"id\": " + std::to_string(request.id) + ", ";
+    frame.integer("id", request.id);
   }
-  out += "\"cmd\": \"" + escape_json(request.command) + "\"";
-  if (!request.path.empty()) {
-    out += ", \"path\": \"" + escape_json(request.path) + "\"";
-  }
+  frame.string("cmd", request.command);
+  if (!request.path.empty()) frame.string("path", request.path);
   if (!request.args.empty()) {
-    out += ", \"args\": {";
-    for (std::size_t i = 0; i < request.args.size(); ++i) {
-      const auto& [key, value] = request.args[i];
+    obs::json::Object args;
+    for (const auto& [key, value] : request.args) {
       HP_REQUIRE(!key.empty() && key.size() <= kMaxArgKeyLength,
                  "format_request: bad args key");
       HP_REQUIRE(value.size() <= kMaxArgValueLength,
                  "format_request: args value too long");
-      if (i > 0) out += ", ";
-      out += "\"" + escape_json(key) + "\": \"" + escape_json(value) + "\"";
+      args.string(key, value);
     }
-    out += "}";
+    frame.object("args", args);
   }
   if (request.timeout_ms > 0) {
     HP_REQUIRE(request.timeout_ms <= kMaxIntegerField,
                "format_request: timeout_ms out of range");
-    out += ", \"timeout_ms\": " + std::to_string(request.timeout_ms);
+    frame.integer("timeout_ms", request.timeout_ms);
   }
-  out += "}";
+  std::string out = frame.text();
   HP_REQUIRE(out.size() <= kMaxFrameBytes, "format_request: frame too large");
   return out;
 }
@@ -238,44 +234,20 @@ Response parse_response(const std::string& frame) {
 }
 
 std::string format_response(const Response& response) {
-  std::string out = "{\"id\": ";
+  const std::string& text = response.ok ? response.output : response.error;
+  std::string out;
+  out.reserve(text.size() + 96);
+  out += "{\"id\": ";
   out += response.has_id() ? std::to_string(response.id) : "null";
   out += response.ok ? ", \"ok\": true" : ", \"ok\": false";
   if (!response.cache.empty()) {
-    out += ", \"cache\": \"" + escape_json(response.cache) + "\"";
+    out += ", \"cache\": ";
+    append_quoted(out, response.cache);
   }
   out += ", \"micros\": " + std::to_string(response.micros);
-  if (response.ok) {
-    out += ", \"output\": \"" + escape_json(response.output) + "\"";
-  } else {
-    out += ", \"error\": \"" + escape_json(response.error) + "\"";
-  }
+  out += response.ok ? ", \"output\": " : ", \"error\": ";
+  append_quoted(out, text);
   out += "}";
-  return out;
-}
-
-std::string escape_json(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (unsigned char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
   return out;
 }
 

@@ -100,12 +100,8 @@ std::string format_request(const Request& request);
 Response parse_response(const std::string& frame);
 
 /// Serialize a response to one frame (no trailing newline). `output`
-/// and `error` may contain arbitrary bytes; they are JSON-escaped.
+/// and `error` may contain arbitrary bytes; they are escaped by
+/// obs::json::append_quoted, which the reader decodes exactly.
 std::string format_response(const Response& response);
-
-/// JSON string escaping shared by the formatters: quotes, backslashes
-/// and control characters (including newline) are escaped, everything
-/// else passes through byte-for-byte.
-std::string escape_json(const std::string& text);
 
 }  // namespace hp::serve::proto

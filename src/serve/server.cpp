@@ -56,6 +56,85 @@ Args wire_args(const proto::Request& request) {
   return Args{static_cast<int>(argv.size()), argv.data()};
 }
 
+/// The server's own commands (the query commands are cli::query_commands()).
+/// This table alone drives dispatch, the `commands` reply and which
+/// names get a `server.cmd.<name>_ns` histogram.
+struct ServerCommand {
+  const char* name;
+  std::string (*run)(Server& server, const proto::Request& request,
+                     std::uint64_t deadline_ns);
+};
+
+std::string list_commands(Server&, const proto::Request&, std::uint64_t);
+
+const ServerCommand kServerCommands[] = {
+    {"ping",
+     [](Server&, const proto::Request&, std::uint64_t) -> std::string {
+       return "pong\n";
+     }},
+    {"commands", list_commands},
+    {"cache",
+     [](Server& server, const proto::Request&, std::uint64_t) {
+       ContextPool& pool = server.pool();
+       const PoolStats stats = pool.stats();
+       std::ostringstream out;
+       out << "entries: " << stats.entries << '\n'
+           << "charged bytes: " << stats.charged_bytes << " (budget "
+           << pool.byte_budget() << ")\n"
+           << "hits: " << stats.hits << "  misses: " << stats.misses
+           << "  evictions: " << stats.evictions << '\n';
+       for (const ChargedEntry& entry : pool.charged_entries()) {
+         out << "  " << entry.bytes << "  "
+             << (entry.leased ? "leased  " : "idle    ") << entry.key << '\n';
+       }
+       return out.str();
+     }},
+    {"cache_clear",
+     [](Server& server, const proto::Request&, std::uint64_t) -> std::string {
+       server.pool().clear();
+       return "cache cleared\n";
+     }},
+    {"metrics",
+     [](Server&, const proto::Request&, std::uint64_t) {
+       return obs::render_table(obs::Registry::global().snapshot());
+     }},
+    {"sleep",
+     // Debug command for deadline tests: burns wall clock in 1 ms slices
+     // with a cooperative deadline check each slice, so timeouts fire
+     // deterministically even under HP_THREADS=1 inline execution.
+     [](Server&, const proto::Request& request, std::uint64_t deadline_ns) {
+       const std::int64_t ms = wire_args(request).get_int("ms", 10);
+       const std::uint64_t until =
+           now_ns() + static_cast<std::uint64_t>(ms) * 1000000u;
+       while (now_ns() < until) {
+         check_deadline(deadline_ns, "during sleep");
+         std::this_thread::sleep_for(std::chrono::milliseconds(1));
+       }
+       return "slept " + std::to_string(ms) + "ms\n";
+     }},
+    {"shutdown",
+     [](Server& server, const proto::Request&, std::uint64_t) -> std::string {
+       server.request_stop();
+       return "stopping\n";
+     }},
+};
+
+std::string list_commands(Server&, const proto::Request&, std::uint64_t) {
+  std::string out;
+  for (const std::string& name : cli::query_commands()) out += name + '\n';
+  for (const ServerCommand& command : kServerCommands) {
+    out += std::string{command.name} + '\n';
+  }
+  return out;
+}
+
+const ServerCommand* find_server_command(const std::string& name) {
+  for (const ServerCommand& command : kServerCommands) {
+    if (name == command.name) return &command;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 Server::Server(ServerOptions options)
@@ -219,8 +298,13 @@ proto::Response Server::handle(const proto::Request& request) {
   const std::uint64_t elapsed_ns = now_ns() - start_ns;
   response.micros = elapsed_ns / 1000u;
   obs::latency("server.request_ns").record_ns(elapsed_ns);
-  obs::latency("server.cmd." + request.command + "_ns")
-      .record_ns(elapsed_ns);
+  // Only known names get a histogram: each one lives for the process,
+  // so a client must not be able to mint them.
+  if (cli::is_query_command(request.command) ||
+      find_server_command(request.command) != nullptr) {
+    obs::latency("server.cmd." + request.command + "_ns")
+        .record_ns(elapsed_ns);
+  }
   return response;
 }
 
@@ -249,60 +333,8 @@ proto::Response Server::dispatch(const proto::Request& request,
     return response;
   }
 
-  if (command == "ping") {
-    response.output = "pong\n";
-    return response;
-  }
-  if (command == "commands") {
-    std::ostringstream out;
-    for (const std::string& name : cli::query_commands()) out << name << '\n';
-    out << "ping\ncommands\ncache\ncache_clear\nmetrics\nsleep\nshutdown\n";
-    response.output = out.str();
-    return response;
-  }
-  if (command == "cache") {
-    const PoolStats stats = pool_->stats();
-    std::ostringstream out;
-    out << "entries: " << stats.entries << '\n'
-        << "charged bytes: " << stats.charged_bytes << " (budget "
-        << pool_->byte_budget() << ")\n"
-        << "hits: " << stats.hits << "  misses: " << stats.misses
-        << "  evictions: " << stats.evictions << '\n';
-    for (const ChargedEntry& entry : pool_->charged_entries()) {
-      out << "  " << entry.bytes << "  " << (entry.leased ? "leased  " : "idle    ")
-          << entry.key << '\n';
-    }
-    response.output = out.str();
-    return response;
-  }
-  if (command == "cache_clear") {
-    pool_->clear();
-    response.output = "cache cleared\n";
-    return response;
-  }
-  if (command == "metrics") {
-    response.output =
-        obs::render_table(obs::Registry::global().snapshot());
-    return response;
-  }
-  if (command == "sleep") {
-    // Debug command for deadline tests: burns wall clock in 1 ms slices
-    // with a cooperative deadline check each slice, so timeouts fire
-    // deterministically even under HP_THREADS=1 inline execution.
-    const Args args = wire_args(request);
-    const std::int64_t ms = args.get_int("ms", 10);
-    const std::uint64_t until = now_ns() +
-                                static_cast<std::uint64_t>(ms) * 1000000u;
-    while (now_ns() < until) {
-      check_deadline(deadline_ns, "during sleep");
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    response.output = "slept " + std::to_string(ms) + "ms\n";
-    return response;
-  }
-  if (command == "shutdown") {
-    request_stop();
-    response.output = "stopping\n";
+  if (const ServerCommand* own = find_server_command(command)) {
+    response.output = own->run(*this, request, deadline_ns);
     return response;
   }
   throw InvalidInputError{"unknown command '" + command +

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "util/common.hpp"
 
 namespace hp::obs {
@@ -31,6 +34,69 @@ TEST(JsonCheck, ParsesNestedStructures) {
 
 TEST(JsonCheck, DecodesEscapes) {
   EXPECT_EQ(json::parse(R"("a\"b\\c\nd\te")").string, "a\"b\\c\nd\te");
+}
+
+TEST(JsonCheck, DecodesUnicodeEscapesToUtf8) {
+  EXPECT_EQ(json::parse(R"("\u0041\u0001\u001B")").string, "A\x01\x1b");
+  EXPECT_EQ(json::parse(R"("\u00e9")").string, "\xC3\xA9");
+  EXPECT_EQ(json::parse(R"("\u20AC")").string, "\xE2\x82\xAC");
+  // A surrogate pair combines into one four-byte code point (U+1F600).
+  EXPECT_EQ(json::parse(R"("\uD83D\uDE00")").string, "\xF0\x9F\x98\x80");
+  EXPECT_EQ(json::parse(R"("\u0000")").string, std::string(1, '\0'));
+}
+
+TEST(JsonCheck, RejectsBadUnicodeEscapes) {
+  EXPECT_THROW(json::parse(R"("\u00g1")"), ParseError);   // non-hex digit
+  EXPECT_THROW(json::parse(R"("\u12")"), ParseError);     // truncated
+  EXPECT_THROW(json::parse(R"("\uD83D")"), ParseError);   // lone high
+  EXPECT_THROW(json::parse(R"("\uD83Dx")"), ParseError);  // lone high
+  EXPECT_THROW(json::parse(R"("\uD83D\u0041")"), ParseError);
+  EXPECT_THROW(json::parse(R"("\uDE00")"), ParseError);   // lone low
+}
+
+TEST(JsonCheck, EveryByteRoundTripsThroughWriterAndReader) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    std::string quoted;
+    json::append_quoted(quoted, one);
+    EXPECT_EQ(json::parse(quoted).string, one) << "byte " << b;
+    all += one;
+  }
+  std::string quoted;
+  json::append_quoted(quoted, all);
+  EXPECT_EQ(json::parse(quoted).string, all);
+}
+
+TEST(JsonCheck, ObjectWritesMembersInOrder) {
+  json::Object inner;
+  inner.integer("n", 3);
+  const std::string text =
+      json::Object{}
+          .string("s", "a\"b")
+          .number("x", 0.5)
+          .integer("i", 18446744073709551615ull)
+          .boolean("t", true)
+          .integers("v", {1, 2})
+          .object("o", inner)
+          .objects("rows", {inner, json::Object{}})
+          .text();
+  EXPECT_EQ(text,
+            R"({"s": "a\"b", "x": 0.5, "i": 18446744073709551615, "t": true, )"
+            R"("v": [1, 2], "o": {"n": 3}, "rows": [{"n": 3}, {}]})");
+  EXPECT_EQ(json::Object{}.text(), "{}");
+}
+
+TEST(JsonCheck, NonFiniteNumbersAreWrittenAsNull) {
+  const json::Value root = json::parse(
+      json::Object{}
+          .number("inf", std::numeric_limits<double>::infinity())
+          .number("nan", std::numeric_limits<double>::quiet_NaN())
+          .number("tiny", 1e-300)
+          .text());
+  EXPECT_EQ(root.find("inf")->type, json::Value::Type::kNull);
+  EXPECT_EQ(root.find("nan")->type, json::Value::Type::kNull);
+  EXPECT_EQ(root.find("tiny")->number, 1e-300);
 }
 
 TEST(JsonCheck, RejectsMalformedInput) {

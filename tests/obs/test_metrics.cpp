@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -131,9 +130,7 @@ TEST(Metrics, JsonExportRoundTripsThroughParser) {
   h.buckets = {0, 0, 0, 0, 0, 0, 1, 1};
   snap.histograms.push_back(h);
 
-  std::ostringstream out;
-  write_metrics_json(snap, out);
-  const json::Value root = json::parse(out.str());
+  const json::Value root = json::parse(metrics_json(snap).text());
 
   const json::Value* counters = root.find("counters");
   ASSERT_NE(counters, nullptr);
@@ -153,9 +150,7 @@ TEST(Metrics, JsonExportRoundTripsThroughParser) {
 }
 
 TEST(Metrics, EmptySnapshotStillValidJson) {
-  std::ostringstream out;
-  write_metrics_json(MetricsSnapshot{}, out);
-  const json::Value root = json::parse(out.str());
+  const json::Value root = json::parse(metrics_json(MetricsSnapshot{}).text());
   EXPECT_EQ(root.type, json::Value::Type::kObject);
   EXPECT_TRUE(root.find("counters")->object.empty());
 }

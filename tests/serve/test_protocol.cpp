@@ -76,6 +76,28 @@ TEST(Protocol, ResponseRoundTripBothOutcomes) {
   EXPECT_EQ(err2.error, "no such file");
 }
 
+TEST(Protocol, EveryByteButNulRoundTrips) {
+  // NUL is the one byte a protocol string may not hold (parse rejects
+  // it); every other byte, control bytes included, must come back.
+  std::string bytes;
+  for (int b = 1; b < 256; ++b) bytes += static_cast<char>(b);
+  Response response;
+  response.ok = true;
+  response.output = bytes;
+  EXPECT_EQ(parse_response(format_response(response)).output, bytes);
+  response.output = "a\x01" "b\x1b" "c";
+  EXPECT_EQ(parse_response(format_response(response)).output,
+            response.output);
+
+  Request request;
+  request.command = "stats";
+  request.path = "d\x02.hyper";
+  request.args = {{"k", bytes}};
+  const Request again = parse_request(format_request(request));
+  EXPECT_EQ(again.path, request.path);
+  EXPECT_EQ(again.args, request.args);
+}
+
 TEST(Protocol, FramesNeverContainRawNewlines) {
   Response r;
   r.ok = true;

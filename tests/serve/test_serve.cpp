@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cli/commands.hpp"
+#include "cli/query.hpp"
 #include "obs/json_check.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -196,6 +197,55 @@ TEST_F(ServeTest, UnknownCommandAndMissingPathAreErrors) {
   const proto::Response bad_file =
       client.query("stats", dir_ + "/missing.tsv");
   EXPECT_FALSE(bad_file.ok);
+}
+
+TEST_F(ServeTest, UnknownCommandsMintNoHistograms) {
+  Server server{options("mint")};
+  proto::Request request;
+  request.command = "ping";
+  ASSERT_TRUE(server.handle(request).ok);  // registers the server.* metrics
+  obs::Registry& registry = obs::Registry::global();
+  const std::size_t histograms = registry.snapshot().histograms.size();
+  const std::uint64_t requests = obs::counter("server.requests").value();
+  const std::uint64_t errors = obs::counter("server.errors").value();
+  const std::uint64_t timed = obs::latency("server.request_ns").count();
+
+  constexpr int kUnknown = 40;
+  for (int i = 0; i < kUnknown; ++i) {
+    request.command = "no-such-command-" + std::to_string(i);
+    const proto::Response response = server.handle(request);
+    EXPECT_FALSE(response.ok);
+    EXPECT_NE(response.error.find("unknown command"), std::string::npos);
+  }
+  EXPECT_EQ(registry.snapshot().histograms.size(), histograms);
+  // They still count as requests and errors, and in the total latency.
+  EXPECT_EQ(obs::counter("server.requests").value(), requests + kUnknown);
+  EXPECT_EQ(obs::counter("server.errors").value(), errors + kUnknown);
+  EXPECT_EQ(obs::latency("server.request_ns").count(), timed + kUnknown);
+}
+
+TEST_F(ServeTest, CommandsReplyListsEveryCommandTheServerAnswers) {
+  Server server{options("commands")};
+  proto::Request request;
+  request.command = "commands";
+  const proto::Response listing = server.handle(request);
+  ASSERT_TRUE(listing.ok);
+  std::istringstream lines{listing.output};
+  std::string name;
+  std::size_t names = 0;
+  while (std::getline(lines, name)) {
+    ++names;
+    // Every listed name dispatches: none comes back "unknown command".
+    request.command = name;
+    request.path = data_a_;
+    request.args.clear();
+    if (name == "shutdown") continue;  // would stop the test's server
+    if (name == "sleep") request.args = {{"ms", "1"}};
+    const proto::Response response = server.handle(request);
+    EXPECT_EQ(response.error.find("unknown command"), std::string::npos)
+        << name << ": " << response.error;
+  }
+  EXPECT_EQ(names, cli::query_commands().size() + 7);
 }
 
 TEST_F(ServeTest, ShutdownCommandStopsTheServer) {
