@@ -74,21 +74,23 @@ struct PeelTiming {
 PeelTiming time_peel(const hp::hyper::Hypergraph& h, int reps) {
   PeelTiming out;
 
-  hp::obs::set_tracing_enabled(false);
-  hp::obs::reset_tracing();
-  out.seconds_off = best_peel_seconds(h, reps);
-
-  hp::obs::set_tracing_enabled(true);
+  // Tracing off and on alternate within each rep, and the side that
+  // goes first swaps every rep, so host drift over the run lands on
+  // both sides alike instead of on their ratio.
   for (int r = 0; r < reps; ++r) {
-    hp::obs::reset_tracing();
-    hp::Timer timer;
-    g_sink = g_sink + hp::hyper::core_decomposition(h, nullptr).max_core;
-    const double s = timer.seconds();
-    if (r == 0 || s < out.seconds_on) out.seconds_on = s;
+    for (const bool tracing : {r % 2 == 1, r % 2 == 0}) {
+      hp::obs::set_tracing_enabled(tracing);
+      if (tracing) hp::obs::reset_tracing();  // off runs record nothing
+      hp::Timer timer;
+      g_sink = g_sink + hp::hyper::core_decomposition(h, nullptr).max_core;
+      const double s = timer.seconds();
+      double& best = tracing ? out.seconds_on : out.seconds_off;
+      if (r == 0 || s < best) best = s;
+    }
   }
 
   // Count the span/counter sites one decomposition actually executes by
-  // re-parsing the trace the last repetition left behind.
+  // re-parsing the trace the last tracing-on run left behind.
   std::ostringstream json;
   hp::obs::write_chrome_trace(json);
   const hp::obs::TraceSummary summary =

@@ -6,6 +6,7 @@
 #include "bio/cellzome_synth.hpp"
 #include "core/overlap.hpp"
 #include "core/traversal.hpp"
+#include "par/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -76,6 +77,21 @@ void BM_PathSummaryCellzome(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PathSummaryCellzome);
+
+/// The seed-1 10^4 surrogate on one lane: the instance and layer that
+/// dominate the one-shot report at that scale.
+void BM_PathSummaryScaled10k(benchmark::State& state) {
+  static const hp::hyper::Hypergraph h = [] {
+    hp::bio::CellzomeParams params = hp::bio::scaled_cellzome_params(10000);
+    params.seed = 1;
+    return hp::bio::cellzome_surrogate(params).hypergraph;
+  }();
+  hp::par::LaneLimit one_lane{1};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hp::hyper::path_summary(h));
+  }
+}
+BENCHMARK(BM_PathSummaryScaled10k)->Unit(benchmark::kMillisecond);
 
 void BM_BfsCellzome(benchmark::State& state) {
   const auto& h = cellzome();

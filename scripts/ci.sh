@@ -42,6 +42,21 @@ else:
           f"(< 8 threads, 3x gate skipped)")
 EOF
 
+echo "=== all-pairs paths: one lane vs four on the 10^4 surrogate ==="
+# 256 source classes run per batch, so the calibrated surrogate is only
+# three batches; the 10^4 one is ~19, enough for lanes to split.
+paths_dir="${prefix}/paths-check"
+mkdir -p "${paths_dir}"
+"${prefix}/src/cli/hyperproteome" generate "${paths_dir}/s10k.hyper" \
+  --proteins 10000 > /dev/null
+HP_THREADS=1 "${prefix}/src/cli/hyperproteome" stats \
+  "${paths_dir}/s10k.hyper" --paths > "${paths_dir}/paths_1.txt"
+HP_THREADS=4 "${prefix}/src/cli/hyperproteome" stats \
+  "${paths_dir}/s10k.hyper" --paths > "${paths_dir}/paths_4.txt"
+grep -q "average path length" "${paths_dir}/paths_1.txt"
+cmp "${paths_dir}/paths_1.txt" "${paths_dir}/paths_4.txt"
+echo "paths ok: HP_THREADS=1 and =4 print the same 10^4 path summary"
+
 echo "=== k-core lane ablation bench (quick) ==="
 HP_THREADS=16 "${prefix}/bench/bench_micro_kcore" --quick --proteins 1000000 \
   --json "${root}/BENCH_kcore.json"
@@ -398,7 +413,7 @@ cmake --build "${prefix}-tsan" -j
 # HP_THREADS=4 forces a real multi-worker pool even on 1-2 core CI
 # machines, so TSan sees genuine cross-thread interleavings in the
 # deques, the parallel kcore/BFS/fuzz paths, and the prefetch fan-out.
-HP_THREADS=4 "${prefix}-tsan/tests/unit_tests" --gtest_filter='*Par*:*par*:TaskGroup*:ThreadPool*:LaneLimit*:Oversubscription*:Determinism*:ParallelKCore*:KCoreEquivalence*:FrontierPeel*:Seeds/FrontierPeel*:Invariants*:Mutate*:ServeTest*:ContextPool*:*TraversalProperties*'
+HP_THREADS=4 "${prefix}-tsan/tests/unit_tests" --gtest_filter='*Par*:*par*:TaskGroup*:ThreadPool*:LaneLimit*:Oversubscription*:Determinism*:ParallelKCore*:KCoreEquivalence*:FrontierPeel*:Seeds/FrontierPeel*:Invariants*:Mutate*:ServeTest*:ContextPool*:*TraversalProperties*:TwinQuotient*'
 # The fuzz smoke again runs the 1000-sequence mutation differential,
 # here with a real multi-worker pool under the rebuild tier's builds.
 HP_THREADS=4 "${prefix}-tsan/src/cli/hp_fuzz" --seed-range 0:1000 \

@@ -159,6 +159,7 @@ std::vector<std::string> hostile_request_frames(Rng& rng) {
       "{\"cmd\": \"stats\"} trailing",      // trailing garbage
       std::string{"{\"cmd\": \"stats\", \"path\": \"a"} +
           std::string(1, '\0') + "b\"}",    // raw NUL inside the frame
+      "{\"cmd\": \"stats\", \"path\": \"a\x01" "b\"}",  // raw control byte
   };
 
   // Deep nesting: the JSON reader's 256-level cap must convert stack

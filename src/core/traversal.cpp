@@ -81,33 +81,30 @@ HyperComponents connected_components(const Hypergraph& h) {
 
 namespace {
 
-/// Sources per batch: one bit of a machine word each.
-constexpr index_t kBatchWidth = 64;
+/// Machine words per class in a batch.
+constexpr std::size_t kWords = 4;
+/// Sources per batch: one bit of `kWords` machine words each.
+constexpr index_t kBatchWidth = 64 * kWords;
+
+/// One bit per source class of a batch: source `base + i` is bit
+/// `i % 64` of word `i / 64`.
+using BatchBits = std::array<std::uint64_t, kWords>;
 
 /// The twin quotient of a hypergraph: one class per distinct non-empty
 /// incidence set, numbered in order of its lowest member id, with the
 /// number of members as its weight. Isolated vertices belong to no
-/// class. Both directions are CSR: a class's hyperedges are its
-/// members' common incidence list, a hyperedge's classes are the
-/// distinct classes of its members.
+/// class. A class's hyperedges, its members' common incidence list, are
+/// held as CSR; the hyperedges keep the ids of `h`.
 struct TwinQuotient {
+  index_t num_edges = 0;
   std::vector<index_t> weight;
   std::vector<Hypergraph::offset_t> class_offsets{0};
   std::vector<index_t> class_edges;
-  std::vector<Hypergraph::offset_t> edge_offsets{0};
-  std::vector<index_t> edge_classes;
 
   index_t num_classes() const { return static_cast<index_t>(weight.size()); }
-  index_t num_edges() const {
-    return static_cast<index_t>(edge_offsets.size() - 1);
-  }
   std::span<const index_t> edges_of(index_t c) const {
     return {class_edges.data() + class_offsets[c],
             class_edges.data() + class_offsets[c + 1]};
-  }
-  std::span<const index_t> classes_of(index_t e) const {
-    return {edge_classes.data() + edge_offsets[e],
-            edge_classes.data() + edge_offsets[e + 1]};
   }
 };
 
@@ -124,9 +121,8 @@ std::uint64_t hash_ids(std::span<const index_t> ids) {
 /// the lists, so a collision can never merge two classes.
 TwinQuotient twin_quotient(const Hypergraph& h) {
   const index_t n = h.num_vertices();
-  const index_t m = h.num_edges();
   TwinQuotient q;
-  std::vector<index_t> class_of(n, kInvalidIndex);
+  q.num_edges = h.num_edges();
   std::vector<std::uint64_t> key;  // per class: hash of its incidence
   const std::size_t mask =
       std::bit_ceil(2 * static_cast<std::size_t>(n) + 2) - 1;
@@ -152,80 +148,78 @@ TwinQuotient twin_quotient(const Hypergraph& h) {
                            incidence.end());
       q.class_offsets.push_back(q.class_edges.size());
     }
-    class_of[v] = c;
     ++q.weight[c];
-  }
-  std::vector<index_t> last_edge(q.num_classes(), kInvalidIndex);
-  q.edge_offsets.reserve(static_cast<std::size_t>(m) + 1);
-  for (index_t e = 0; e < m; ++e) {
-    for (index_t v : h.vertices_of(e)) {
-      const index_t c = class_of[v];
-      if (last_edge[c] == e) continue;
-      last_edge[c] = e;
-      q.edge_classes.push_back(c);
-    }
-    q.edge_offsets.push_back(q.edge_classes.size());
   }
   return q;
 }
 
-/// Per-lane workspace and exact integer partials. Bit i of a word
-/// stands for source class `base + i` of the batch the lane is running.
+/// Per-lane workspace and exact integer partials.
 struct LanePartial {
-  std::vector<std::uint64_t> seen;      ///< per class: sources reaching it
-  std::vector<std::uint64_t> frontier;  ///< per class: reached this level
-  std::vector<std::uint64_t> edge;      ///< per hyperedge: frontier sources
+  std::vector<BatchBits> seen;  ///< per class: sources reaching it
+  std::vector<BatchBits> edge;  ///< per hyperedge: sources it carries now
+  std::vector<BatchBits> next;  ///< per hyperedge: sources it carries next
   count_t total = 0;
   count_t pairs = 0;
   index_t diameter = 0;
 };
 
-/// Hyperpath BFS from the source classes [base, base + 64) at once
-/// (Then et al., "The More the Merrier", VLDB 2014). A level is one
-/// pull pass over the hyperedges and one over the classes, each ORing
-/// words, so a batch costs 2 * quotient pins word operations per level
-/// whatever its width. A class reached by the source bits `x` stands
-/// for weight * (sum over the sources in x of their weights) vertex
-/// pairs; the inner sum is taken exactly over the bit-planes of the
-/// batch's source weights.
-void accumulate_batch(const TwinQuotient& q, index_t base, LanePartial& p) {
+/// Hyperpath BFS from the source classes [base, base + kBatchWidth) at
+/// once (Then et al., "The More the Merrier", VLDB 2014). `edge[e]`
+/// holds the sources that reached a class of `e` at the previous level.
+/// A level is one pull pass over the classes; a class that gains bits
+/// pushes them into `next` for its hyperedges, and the two edge arrays
+/// swap. A class reached by the source bits `x` stands for
+/// weight * (sum over the sources in x of their weights) vertex pairs;
+/// the inner sum is taken exactly over the bit-planes of the batch's
+/// source weights. Always inlined, so each caller below compiles it for
+/// its own target.
+[[gnu::always_inline]] inline void accumulate_batch_body(
+    const TwinQuotient& q, index_t base, LanePartial& p) {
   const index_t n = q.num_classes();
-  const index_t m = q.num_edges();
-  p.seen.assign(n, 0);
-  p.frontier.assign(n, 0);
-  p.edge.resize(m);
+  p.seen.assign(n, BatchBits{});
+  p.edge.assign(q.num_edges, BatchBits{});
+  p.next.assign(q.num_edges, BatchBits{});
   const index_t width = std::min(kBatchWidth, n - base);
-  std::array<std::uint64_t, 32> plane{};  ///< bit j of each source weight
+  std::array<BatchBits, 32> plane{};  ///< bit j of each source weight
   int planes = 0;
   for (index_t i = 0; i < width; ++i) {
-    const std::uint64_t bit = std::uint64_t{1} << i;
+    const std::size_t word = i / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
     const index_t w = q.weight[base + i];
-    p.seen[base + i] = p.frontier[base + i] = bit;
+    p.seen[base + i][word] = bit;
+    for (index_t e : q.edges_of(base + i)) p.edge[e][word] |= bit;
     const int bits = static_cast<int>(std::bit_width(w));
     planes = std::max(planes, bits);
     for (int j = 0; j < bits; ++j) {
-      if ((w >> j) & 1) plane[static_cast<std::size_t>(j)] |= bit;
+      if ((w >> j) & 1) plane[static_cast<std::size_t>(j)][word] |= bit;
     }
   }
   for (index_t level = 1;; ++level) {
-    for (index_t e = 0; e < m; ++e) {
-      std::uint64_t bits = 0;
-      for (index_t c : q.classes_of(e)) bits |= p.frontier[c];
-      p.edge[e] = bits;
-    }
     count_t found = 0;
     for (index_t c = 0; c < n; ++c) {
-      std::uint64_t bits = 0;
-      for (index_t e : q.edges_of(c)) bits |= p.edge[e];
-      bits &= ~p.seen[c];
-      p.seen[c] |= bits;
-      p.frontier[c] = bits;
-      if (bits == 0) continue;
+      const std::span<const index_t> edges = q.edges_of(c);
+      BatchBits bits{};
+      for (index_t e : edges) {
+        for (std::size_t k = 0; k < kWords; ++k) bits[k] |= p.edge[e][k];
+      }
+      std::uint64_t any = 0;
+      for (std::size_t k = 0; k < kWords; ++k) {
+        bits[k] &= ~p.seen[c][k];
+        p.seen[c][k] |= bits[k];
+        any |= bits[k];
+      }
+      if (any == 0) continue;
+      for (index_t e : edges) {
+        for (std::size_t k = 0; k < kWords; ++k) p.next[e][k] |= bits[k];
+      }
       count_t sources = 0;
       for (int j = 0; j < planes; ++j) {
-        sources += static_cast<count_t>(
-                       std::popcount(bits & plane[static_cast<std::size_t>(j)]))
-                   << j;
+        const BatchBits& pj = plane[static_cast<std::size_t>(j)];
+        int ones = 0;
+        for (std::size_t k = 0; k < kWords; ++k) {
+          ones += std::popcount(bits[k] & pj[k]);
+        }
+        sources += static_cast<count_t>(ones) << j;
       }
       found += q.weight[c] * sources;
     }
@@ -233,8 +227,39 @@ void accumulate_batch(const TwinQuotient& q, index_t base, LanePartial& p) {
     p.total += level * found;
     p.pairs += found;
     p.diameter = std::max(p.diameter, level);
+    p.edge.swap(p.next);
+    std::fill(p.next.begin(), p.next.end(), BatchBits{});
   }
 }
+
+#if defined(__x86_64__) && defined(__GNUC__)
+// Baseline x86-64 has no POPCNT instruction, so a plain build turns each
+// popcount into a library call. The kernel is compiled once with the
+// instruction and once without, and the first call picks by the CPU.
+[[gnu::target("popcnt")]] void accumulate_batch_popcnt(const TwinQuotient& q,
+                                                       index_t base,
+                                                       LanePartial& p) {
+  accumulate_batch_body(q, base, p);
+}
+
+void accumulate_batch_plain(const TwinQuotient& q, index_t base,
+                            LanePartial& p) {
+  accumulate_batch_body(q, base, p);
+}
+
+void accumulate_batch(const TwinQuotient& q, index_t base, LanePartial& p) {
+  static const bool has_popcnt = __builtin_cpu_supports("popcnt");
+  if (has_popcnt) {
+    accumulate_batch_popcnt(q, base, p);
+  } else {
+    accumulate_batch_plain(q, base, p);
+  }
+}
+#else
+void accumulate_batch(const TwinQuotient& q, index_t base, LanePartial& p) {
+  accumulate_batch_body(q, base, p);
+}
+#endif
 
 }  // namespace
 
@@ -247,7 +272,7 @@ HyperPathSummary path_summary(const Hypergraph& h) {
   const TwinQuotient q = twin_quotient(h);
   const index_t batches = (q.num_classes() + kBatchWidth - 1) / kBatchWidth;
 
-  // Batches of 64 source classes on the shared pool: each lane owns one
+  // Batches of 256 source classes on the shared pool: each lane owns one
   // workspace plus exact integer partials, merged lane-by-lane
   // afterwards -- schedule-independent, so HP_THREADS=1 and =16 agree
   // bit-for-bit.

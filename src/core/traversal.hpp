@@ -38,11 +38,12 @@ HyperComponents connected_components(const Hypergraph& h);
 /// connected vertex pairs. The sweep runs on the twin quotient: one
 /// source per class of vertices with the same non-empty incidence set,
 /// weighted by the class size (twins are equidistant from everything
-/// else, and 1 apart). Source classes run in batches of 64, one bit per
-/// source in a machine word: each BFS level of a batch costs
-/// 2 * quotient pins word ORs (a hyperedge pass and a class pass), so
-/// the sweep is ceil(classes / 64) batches * levels * 2 * quotient pins
-/// word operations, after an O(pins) quotient build. Batches are spread
+/// else, and 1 apart). Source classes run in batches of 256, one bit per
+/// source in four machine words: each BFS level of a batch costs at
+/// most 2 * quotient pins four-word ORs (a class pull pass and a push
+/// into the hyperedges), so the sweep is at most ceil(classes / 256)
+/// batches * levels * 2 * quotient pins such operations, after an
+/// O(pins) quotient build. Batches are spread
 /// over the shared pool; results are exact integers merged per lane and
 /// identical for every HP_THREADS value.
 struct HyperPathSummary {

@@ -153,6 +153,9 @@ class Parser {
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        fail("raw control character in string");  // RFC 8259 section 7
+      }
       if (c != '\\') {
         out += c;
         continue;

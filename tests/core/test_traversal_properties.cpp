@@ -1,8 +1,10 @@
 // Metric properties of hypergraph distances on random inputs: symmetry,
 // triangle inequality, component consistency, and agreement between the
-// all-pairs summary and per-source BFS (across 64-source word
-// boundaries, lane caps and twin-class shapes).
+// all-pairs summary and per-source BFS (across the 64-bit word and
+// 256-source batch boundaries, lane caps and twin-class shapes).
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "core/traversal.hpp"
 #include "par/thread_pool.hpp"
@@ -61,8 +63,8 @@ TEST_P(TraversalProperties, ReachabilityMatchesComponents) {
   }
 }
 
-/// Random hypergraph on `n` vertices whose batches of 64 sources cut
-/// across components: every seventh vertex is isolated, and the rest
+/// Random hypergraph on `n` vertices whose source batches cut across
+/// components: every seventh vertex is isolated, and the rest
 /// split by parity into two halves no hyperedge crosses. Hyperedges are
 /// small and sparse, so distances run over many levels.
 Hypergraph split_hypergraph(Rng& rng, index_t n) {
@@ -84,6 +86,17 @@ Hypergraph split_hypergraph(Rng& rng, index_t n) {
     }
   }
   return builder.build();
+}
+
+/// Distinct non-empty incidence sets of `h`: the twin classes the
+/// summary runs its sources over.
+std::size_t twin_classes(const Hypergraph& h) {
+  std::set<std::vector<index_t>> classes;
+  for (index_t v = 0; v < h.num_vertices(); ++v) {
+    const auto edges = h.edges_of(v);
+    if (!edges.empty()) classes.emplace(edges.begin(), edges.end());
+  }
+  return classes.size();
 }
 
 /// path_summary must equal the per-source bfs_distances recomputation
@@ -118,23 +131,37 @@ void expect_summary_matches_bfs(const Hypergraph& h) {
 TEST_P(TraversalProperties, SummaryAgreesWithPerSourceBfs) {
   Rng rng{GetParam() * 719};
   expect_summary_matches_bfs(testing::random_hypergraph(rng, 18, 14, 4));
-  // Sources run 64 to a machine word: cover one partial word, exact
-  // word multiples, one source past them, and several words.
-  for (index_t n : {1u, 63u, 64u, 65u, 128u, 129u, 200u}) {
+  // A batch holds 256 sources in four 64-bit words: cover a partial
+  // word, the word and batch boundaries, one source past them, and
+  // several batches.
+  for (index_t n : {1u, 63u, 64u, 65u, 128u, 129u, 200u, 255u, 256u, 257u,
+                    320u, 511u, 512u, 513u}) {
     expect_summary_matches_bfs(split_hypergraph(rng, n));
   }
 }
 
+TEST(TwinQuotientPaths, ChainsCrossEveryWordAndBatchBoundary) {
+  // Every vertex of a chain is its own twin class, so the source count
+  // lands exactly on each boundary, and each class is reached at its
+  // own level.
+  for (index_t n : {63u, 64u, 65u, 127u, 128u, 129u, 192u, 193u, 255u, 256u,
+                    257u, 511u, 512u, 513u}) {
+    expect_summary_matches_bfs(testing::chain_hypergraph(n));
+  }
+}
+
 /// Replace every vertex v of `base` by `weight[v]` twins -- copies with
-/// v's incidence set -- under a shuffled id order, so each twin class
-/// is spread over the id range. A weight-0 vertex vanishes.
+/// v's incidence set. Given `rng`, the ids are shuffled, so each twin
+/// class is spread over the id range; without it, v's copies take
+/// consecutive ids and the classes keep the vertex order of `base`. A
+/// weight-0 vertex vanishes.
 Hypergraph blow_up(const Hypergraph& base, const std::vector<index_t>& weight,
-                   Rng& rng) {
+                   Rng* rng = nullptr) {
   std::vector<index_t> owner;
   for (index_t v = 0; v < base.num_vertices(); ++v) {
     owner.insert(owner.end(), weight[v], v);
   }
-  rng.shuffle(owner);
+  if (rng != nullptr) rng->shuffle(owner);
   std::vector<std::vector<index_t>> copies(base.num_vertices());
   for (index_t id = 0; id < owner.size(); ++id) copies[owner[id]].push_back(id);
   HypergraphBuilder builder{static_cast<index_t>(owner.size())};
@@ -177,14 +204,27 @@ TEST(TwinQuotientPaths, IsolatedVerticesAreNotTwins) {
 }
 
 TEST(TwinQuotientPaths, OneBatchOfManyBitPlanes) {
-  // Five classes in one 64-source batch whose weights need one to
-  // eight bit-planes. On a chain every class has its own incidence set
-  // and every class distance 1..4 occurs.
+  // Five classes in one batch whose weights need one to eight
+  // bit-planes. On a chain every class has its own incidence set and
+  // every class distance 1..4 occurs.
   Rng rng{64};
   expect_summary_matches_bfs(
-      blow_up(testing::chain_hypergraph(5), {1, 63, 64, 65, 200}, rng));
+      blow_up(testing::chain_hypergraph(5), {1, 63, 64, 65, 200}, &rng));
   expect_summary_matches_bfs(
-      blow_up(testing::chain_hypergraph(5), {200, 1, 65, 64, 63}, rng));
+      blow_up(testing::chain_hypergraph(5), {200, 1, 65, 64, 63}, &rng));
+  // A full batch of 256 chain classes, in chain order, whose heavy
+  // classes sit in words 1, 2 and 3: their bit-planes span words the
+  // light classes of word 0 never touch.
+  const std::vector<index_t> slots = {70, 130, 200, 255};
+  for (const std::vector<index_t>& heavy :
+       {std::vector<index_t>{63, 64, 65, 200},
+        std::vector<index_t>{200, 65, 64, 63}}) {
+    std::vector<index_t> weight(256, 1);
+    for (std::size_t i = 0; i < slots.size(); ++i) weight[slots[i]] = heavy[i];
+    const Hypergraph h = blow_up(testing::chain_hypergraph(256), weight);
+    ASSERT_EQ(twin_classes(h), 256u);
+    expect_summary_matches_bfs(h);
+  }
 }
 
 TEST_P(TraversalProperties, TwinQuotientMatchesBfs) {
@@ -206,15 +246,17 @@ TEST_P(TraversalProperties, TwinQuotientMatchesBfs) {
     const Hypergraph base = testing::random_hypergraph(rng, 30, 12, 4);
     std::vector<index_t> weight(base.num_vertices());
     for (index_t& w : weight) w = 2 + static_cast<index_t>(rng.uniform(4));
-    expect_summary_matches_bfs(blow_up(base, weight, rng));
+    expect_summary_matches_bfs(blow_up(base, weight, &rng));
   }
-  // More than 64 classes: partial and multiple batches, with weights
+  // More than 256 classes: partial and multiple batches, with weights
   // from 0 (vanished) to 5 and classes cut across components.
-  for (index_t n : {70u, 129u, 150u}) {
+  for (index_t n : {600u, 700u}) {
     const Hypergraph base = split_hypergraph(rng, n);
     std::vector<index_t> weight(base.num_vertices());
     for (index_t& w : weight) w = static_cast<index_t>(rng.uniform(6));
-    expect_summary_matches_bfs(blow_up(base, weight, rng));
+    const Hypergraph h = blow_up(base, weight, &rng);
+    EXPECT_GT(twin_classes(h), 256u) << n;
+    expect_summary_matches_bfs(h);
   }
 }
 

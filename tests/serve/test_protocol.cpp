@@ -119,6 +119,16 @@ TEST(Protocol, RejectsProtocolViolations) {
   EXPECT_THROW(parse_response("{\"ok\": false}"), ParseError);
 }
 
+TEST(Protocol, RejectsRawControlBytesInStrings) {
+  // Strings carry control bytes only as escapes (RFC 8259 section 7).
+  EXPECT_THROW(
+      parse_request("{\"cmd\": \"stats\", \"path\": \"a\x01" "b\"}"),
+      ParseError);
+  EXPECT_EQ(parse_request("{\"cmd\": \"stats\", \"path\": \"a\\u0001b\"}")
+                .path,
+            "a\x01" "b");
+}
+
 TEST(Protocol, RejectsHostileNestingWithoutCrashing) {
   std::string deep = "{\"cmd\": \"a\", \"args\": ";
   deep.append(100000, '[');
