@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "core/binary_io.hpp"
 #include "core/context/analysis_context.hpp"
@@ -371,16 +373,81 @@ void check_components_and_paths(const Hypergraph& h, bool with_paths,
   }
 }
 
+namespace {
+
+/// Fig. 5 by plain rescan: each step scans every vertex for the smallest
+/// w(v) / (edges of v still demanding coverage), lowest id on ties, and
+/// keeps no queue at all -- the reference greedy_multicover's lazy
+/// queue must reproduce pick for pick.
+hyper::MulticoverResult rescan_multicover(const Hypergraph& h,
+                                          const std::vector<double>& weights,
+                                          index_t r) {
+  std::vector<index_t> demand(h.num_edges());
+  std::vector<index_t> useful(h.num_vertices(), 0);
+  index_t unmet = 0;
+  for (index_t e = 0; e < h.num_edges(); ++e) {
+    demand[e] = std::min(r, h.edge_size(e));
+    if (demand[e] == 0) continue;
+    ++unmet;
+    for (index_t v : h.vertices_of(e)) ++useful[v];
+  }
+  std::vector<bool> chosen(h.num_vertices(), false);
+  hyper::MulticoverResult result;
+  while (unmet > 0) {
+    index_t best = kInvalidIndex;
+    double best_key = 0.0;
+    for (index_t v = 0; v < h.num_vertices(); ++v) {
+      if (chosen[v] || useful[v] == 0) continue;
+      const double key = weights[v] / static_cast<double>(useful[v]);
+      if (best == kInvalidIndex || key < best_key) {
+        best = v;
+        best_key = key;
+      }
+    }
+    chosen[best] = true;
+    result.vertices.push_back(best);
+    result.total_weight += weights[best];
+    for (index_t e : h.edges_of(best)) {
+      if (demand[e] == 0 || --demand[e] > 0) continue;
+      --unmet;
+      for (index_t v : h.vertices_of(e)) --useful[v];
+    }
+  }
+  result.average_degree = hyper::average_degree(h, result.vertices);
+  return result;
+}
+
+}  // namespace
+
 void check_covers(const Hypergraph& h, std::vector<CheckFailure>& failures) {
-  const std::vector<double> weights = hyper::unit_weights(h);
-  const hyper::CoverResult cover = hyper::greedy_vertex_cover(h, weights);
+  const std::vector<double> unit = hyper::unit_weights(h);
+  const hyper::CoverResult cover = hyper::greedy_vertex_cover(h, unit);
   if (!hyper::is_vertex_cover(h, cover.vertices)) {
     fail(failures, "covers", "greedy vertex cover is not a cover");
   }
-  const std::vector<index_t> requirements(h.num_edges(), 2);
-  const hyper::MulticoverResult mc = hyper::greedy_multicover(h, weights, 2);
-  if (!hyper::is_multicover(h, mc.vertices, requirements)) {
-    fail(failures, "covers", "greedy 2-multicover is not a 2-multicover");
+  const std::vector<double> deg2 = hyper::degree_squared_weights(h);
+  for (const auto& [name, weights] :
+       {std::pair{"unit", &unit}, std::pair{"deg2", &deg2}}) {
+    for (index_t r : {index_t{1}, index_t{2}}) {
+      const std::string label =
+          std::string{name} + " r=" + std::to_string(r) + ": ";
+      const hyper::MulticoverResult mc =
+          hyper::greedy_multicover(h, *weights, r);
+      if (!hyper::is_multicover(h, mc.vertices,
+                                std::vector<index_t>(h.num_edges(), r))) {
+        fail(failures, "covers", label + "greedy result is not a multicover");
+      }
+      const hyper::MulticoverResult ref = rescan_multicover(h, *weights, r);
+      if (mc.vertices != ref.vertices) {
+        fail(failures, "covers", label + "picks differ from the rescan");
+      }
+      if (mc.total_weight != ref.total_weight ||
+          mc.average_degree != ref.average_degree) {
+        fail(failures, "covers",
+             label + "total weight or average degree differs from the "
+                     "rescan");
+      }
+    }
   }
 }
 

@@ -1,6 +1,8 @@
 #include "cli/query.hpp"
 
+#include <charconv>
 #include <ostream>
+#include <string_view>
 
 #include "bio/paper_report.hpp"
 #include "core/cover.hpp"
@@ -32,8 +34,14 @@ int query_stats(QuerySession& session, const Args& args, std::ostream& out) {
   out << hyper::to_string(ctx.summary());
   if (args.get_bool("paths", false)) {
     const hyper::HyperPathSummary& paths = ctx.paths();
+    // Shortest round-trip digits: outputs compared byte for byte (the
+    // HP_THREADS=1 vs 4 check in scripts/ci.sh) then compare the double.
+    char average[32];
+    const auto printed =
+        std::to_chars(average, average + sizeof average, paths.average_length);
     out << "diameter                  : " << paths.diameter << '\n'
-        << "average path length       : " << paths.average_length << '\n';
+        << "average path length       : "
+        << std::string_view{average, printed.ptr} << '\n';
   }
   const Histogram& degrees = ctx.vertex_degree_histogram();
   out << "degree power-law exponent : ";

@@ -1,6 +1,8 @@
 #include "core/generalized_core.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "core/peel/residual.hpp"
 #include "util/lazy_heap.hpp"
@@ -102,15 +104,16 @@ GeneralizedCoreResult generalized_core(const Hypergraph& h,
   const MeasurePolicy policy{h, residual, measure};
   std::vector<double> current(n);
   // Lazy frontier in measure space: measures only fall, and every change
-  // pushes a fresh entry, so the shared lazy-deletion heap drops the
-  // superseded snapshots at pop time (counted as frontier_wasted)
-  // instead of locating entries to update. Ties break toward the lower
-  // vertex id.
-  LazyMinHeap heap;
+  // pushes a fresh entry, so the shared lazy-deletion queue (seeded with
+  // every vertex) drops the superseded snapshots at pop time (counted as
+  // frontier_wasted) instead of locating entries to update. Ties break
+  // toward the lower vertex id.
+  std::vector<LazyMinHeap::Entry> initial(n);
   for (index_t v = 0; v < n; ++v) {
     current[v] = policy.evaluate(v);
-    heap.push(v, current[v]);
+    initial[v] = {current[v], v};
   }
+  LazyMinHeap heap{std::move(initial)};
 
   double running_max = 0.0;
   while (residual.live_vertices() > 0) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "core/peel/residual.hpp"
 #include "util/lazy_heap.hpp"
@@ -38,12 +39,15 @@ MulticoverResult greedy_multicover(const Hypergraph& h,
   ResidualHypergraph residual{h};
   std::vector<bool> chosen(h.num_vertices(), false);
 
-  LazyMinHeap heap;
+  std::vector<LazyMinHeap::Entry> initial;
+  initial.reserve(h.num_vertices());
   for (index_t v = 0; v < h.num_vertices(); ++v) {
     if (residual.vertex_degree(v) > 0) {
-      heap.push(v, weights[v] / static_cast<double>(residual.vertex_degree(v)));
+      initial.push_back(
+          {weights[v] / static_cast<double>(residual.vertex_degree(v)), v});
     }
   }
+  LazyMinHeap heap{std::move(initial)};
 
   const auto current_key = [&](index_t v) {
     const index_t useful = residual.vertex_degree(v);

@@ -1,6 +1,7 @@
 #include "core/mutate/mutable_hypergraph.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace hp::hyper {
 
@@ -139,15 +140,38 @@ DirtyRegion MutableHypergraph::drain_dirty() {
 
 const MutableHypergraph::Snapshot& MutableHypergraph::snapshot() const {
   if (snapshot_ && snapshot_version_ == version_) return *snapshot_;
-  HypergraphBuilder builder{num_vertices()};
+  using offset_t = Hypergraph::offset_t;
+  // Member and incidence lists are kept sorted and duplicate-free, and
+  // compaction preserves edge order, so both CSR sides copy straight
+  // out of them (no sort/dedup pass as in HypergraphBuilder).
   std::vector<index_t> edge_to_stable;
   edge_to_stable.reserve(live_edges_);
+  std::vector<index_t> stable_to_compact(num_edge_slots(), kInvalidIndex);
+  std::vector<offset_t> eoff;
+  eoff.reserve(static_cast<std::size_t>(live_edges_) + 1);
+  eoff.push_back(0);
+  std::vector<index_t> eadj;
+  eadj.reserve(live_pins_);
   for (index_t e = 0; e < num_edge_slots(); ++e) {
     if (!edge_alive(e)) continue;
-    builder.add_edge(members_[e]);
+    stable_to_compact[e] = static_cast<index_t>(edge_to_stable.size());
     edge_to_stable.push_back(e);
+    eadj.insert(eadj.end(), members_[e].begin(), members_[e].end());
+    eoff.push_back(eadj.size());
   }
-  snapshot_.emplace(Snapshot{builder.build(), std::move(edge_to_stable)});
+  std::vector<offset_t> voff;
+  voff.reserve(static_cast<std::size_t>(num_vertices()) + 1);
+  voff.push_back(0);
+  std::vector<index_t> vadj;
+  vadj.reserve(live_pins_);
+  for (const std::vector<index_t>& edges : incident_) {
+    for (index_t e : edges) vadj.push_back(stable_to_compact[e]);
+    voff.push_back(vadj.size());
+  }
+  snapshot_.emplace(Snapshot{
+      Hypergraph::adopt_owned(std::move(voff), std::move(vadj),
+                              std::move(eoff), std::move(eadj)),
+      std::move(edge_to_stable)});
   snapshot_version_ = version_;
   return *snapshot_;
 }

@@ -179,28 +179,45 @@ void Server::wait() {
   listener_.close();
 }
 
+std::size_t Server::retained_connections() {
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  return connections_.size();
+}
+
+void Server::reap_finished() {
+  // A finished connection has closed its socket and only has to return
+  // from connection_main, so each join here is short.
+  std::erase_if(connections_,
+                [](const std::unique_ptr<Connection>& connection) {
+                  if (!connection->finished) return false;
+                  connection->thread.join();
+                  return true;
+                });
+}
+
 void Server::accept_main() {
   while (!stopping()) {
     Socket accepted = accept_on(listener_);
     if (!accepted.valid()) break;  // listener closed by request_stop
     if (stopping()) break;
     std::lock_guard<std::mutex> lock(connections_mutex_);
+    reap_finished();
     connections_.push_back(std::make_unique<Connection>());
-    Connection* connection = connections_.back().get();
-    connection->socket = std::move(accepted);
+    Connection& connection = *connections_.back();
+    connection.socket = std::move(accepted);
+    ++accepted_connections_;
+    ++open_connections_;
     obs::gauge("server.connections")
-        .set(static_cast<double>(connections_.size()));
-    const std::size_t slot = connections_.size() - 1;
-    connection->thread = std::thread([this, slot] { connection_main(slot); });
+        .set(static_cast<double>(accepted_connections_));
+    obs::gauge("server.connections_open")
+        .set(static_cast<double>(open_connections_));
+    connection.thread =
+        std::thread([this, &connection] { connection_main(connection); });
   }
 }
 
-void Server::connection_main(std::size_t slot) {
-  Socket* socket = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    socket = &connections_[slot]->socket;
-  }
+void Server::connection_main(Connection& connection) {
+  Socket* socket = &connection.socket;
   LineReader reader{socket->fd()};
   std::string frame;
   while (true) {
@@ -238,6 +255,11 @@ void Server::connection_main(std::size_t slot) {
     }
   }
   socket->close();
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  connection.finished = true;
+  --open_connections_;
+  obs::gauge("server.connections_open")
+      .set(static_cast<double>(open_connections_));
 }
 
 proto::Response Server::handle(const proto::Request& request) {

@@ -13,13 +13,17 @@
 // (also triggered by the protocol `shutdown` command and by SIGINT in
 // hp_serve) closes the listener and half-closes every connection
 // (SHUT_RD), so in-flight requests drain and their replies are still
-// written; wait() joins everything.
+// written; wait() joins everything. A connection whose client left is
+// reaped (its thread joined, its record freed) on the next accept, so
+// a long-lived server holds only its open connections plus the ones
+// that finished since the last accept.
 //
 // Observability: every request runs under a `serve.request` root span
 // (command-specific child spans come from the query layer), and the
 // server.* metrics family tracks requests, errors, timeouts, cache
-// hits/misses/evictions, open connections, queue depth and per-command
-// latency histograms.
+// hits/misses/evictions, connections (server.connections: ever
+// accepted; server.connections_open: not yet finished), queue depth and
+// per-command latency histograms.
 #pragma once
 
 #include <atomic>
@@ -76,6 +80,10 @@ class Server {
 
   ContextPool& pool() { return *pool_; }
 
+  /// Connection records held right now: the open connections plus the
+  /// finished ones that no accept has reaped yet.
+  std::size_t retained_connections();
+
   /// Execute one parsed request exactly as a connection would (metrics,
   /// tracing, timeout handling included) -- the in-process path used by
   /// tests and the load generator to measure the server without socket
@@ -84,12 +92,20 @@ class Server {
 
  private:
   struct Connection {
+    Connection() = default;
+    // Its thread holds a reference to it.
+    Connection(const Connection&) = delete;
+    Connection& operator=(const Connection&) = delete;
+
     Socket socket;
     std::thread thread;
+    bool finished = false;  // guarded by connections_mutex_
   };
 
   void accept_main();
-  void connection_main(std::size_t slot);
+  void connection_main(Connection& connection);
+  /// Join and erase finished connections. Caller holds connections_mutex_.
+  void reap_finished();
   proto::Response dispatch(const proto::Request& request,
                            std::uint64_t deadline_ns);
   void record_frame(const std::string& frame);
@@ -102,6 +118,8 @@ class Server {
 
   std::mutex connections_mutex_;
   std::vector<std::unique_ptr<Connection>> connections_;
+  std::size_t open_connections_ = 0;      // guarded by connections_mutex_
+  std::uint64_t accepted_connections_ = 0;  // guarded by connections_mutex_
 
   std::mutex record_mutex_;
 

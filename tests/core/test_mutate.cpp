@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "check/mutation.hpp"
@@ -132,6 +134,58 @@ TEST(MutateHypergraphTest, RejectsEmptyAndDeadMemberInserts) {
   EXPECT_THROW(g.add_hyperedge({0, 99}), InvalidInputError);
   ASSERT_TRUE(g.remove_vertex(6));
   EXPECT_THROW(g.add_hyperedge({6}), InvalidInputError);
+}
+
+TEST(MutateHypergraphTest, SnapshotCsrEqualsBuilderMaterialization) {
+  // The snapshot copies its CSR out of the unpacked lists; it must equal,
+  // array for array, what HypergraphBuilder makes of the live edges.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng{seed};
+    MutableHypergraph g{testing::random_hypergraph(rng, 30, 25, 5)};
+    for (int op = 0; op < 60; ++op) {
+      switch (rng.uniform(4)) {
+        case 0:
+          g.add_vertex();
+          break;
+        case 1:
+          g.remove_vertex(static_cast<index_t>(rng.uniform(g.num_vertices())));
+          break;
+        case 2:
+          if (g.num_edge_slots() > 0) {
+            g.remove_hyperedge(
+                static_cast<index_t>(rng.uniform(g.num_edge_slots())));
+          }
+          break;
+        default: {
+          std::vector<index_t> members;
+          for (index_t v = 0; v < g.num_vertices() && members.size() < 4;
+               ++v) {
+            if (g.vertex_alive(v) && rng.uniform(3) == 0) members.push_back(v);
+          }
+          if (!members.empty()) g.add_hyperedge(members);
+        }
+      }
+      HypergraphBuilder builder{g.num_vertices()};
+      std::vector<index_t> edge_to_stable;
+      for (index_t e = 0; e < g.num_edge_slots(); ++e) {
+        if (!g.edge_alive(e)) continue;
+        builder.add_edge(g.edge_members(e));
+        edge_to_stable.push_back(e);
+      }
+      const Hypergraph expected = builder.build();
+      const MutableHypergraph::Snapshot& snap = g.snapshot();
+      ASSERT_TRUE(std::ranges::equal(snap.hypergraph.vertex_offsets(),
+                                     expected.vertex_offsets()))
+          << "seed " << seed << " op " << op;
+      ASSERT_TRUE(std::ranges::equal(snap.hypergraph.vertex_adjacency(),
+                                     expected.vertex_adjacency()));
+      ASSERT_TRUE(std::ranges::equal(snap.hypergraph.edge_offsets(),
+                                     expected.edge_offsets()));
+      ASSERT_TRUE(std::ranges::equal(snap.hypergraph.edge_adjacency(),
+                                     expected.edge_adjacency()));
+      ASSERT_EQ(snap.edge_to_stable, edge_to_stable);
+    }
+  }
 }
 
 TEST(MutateContextTest, EmptyHypergraphMutations) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -334,6 +335,47 @@ TEST_F(ServeTest, MultiClientConcurrencyStorm) {
   const PoolStats stats = server.pool().stats();
   EXPECT_EQ(stats.misses, 2u);  // one load per dataset, stampede-safe
   EXPECT_GE(stats.hits, 2u * (kClients / 2) * (kRequests / 3) - 2u);
+}
+
+TEST_F(ServeTest, FinishedConnectionsAreReaped) {
+  Server server{options("reap")};
+  server.start();
+  Client resident{server.endpoint()};
+  ASSERT_TRUE(resident.query("ping", "").ok);
+
+  const obs::Gauge& open = obs::gauge("server.connections_open");
+  const obs::Gauge& accepted = obs::gauge("server.connections");
+  const double open_before = open.value();
+  const double accepted_before = accepted.value();
+  const std::size_t retained_before = server.retained_connections();
+  EXPECT_EQ(open_before, 1.0);
+  EXPECT_EQ(retained_before, 1u);
+
+  constexpr int kCycles = 40;
+  for (int i = 0; i < kCycles; ++i) {
+    Client fresh{server.endpoint()};
+    ASSERT_TRUE(fresh.query("ping", "").ok);
+  }
+  // Each connection thread finishes once it reads its client's EOF.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (open.value() != open_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(open.value(), open_before);
+
+  // The next accept reaps every connection that finished before it.
+  Client probe{server.endpoint()};
+  ASSERT_TRUE(probe.query("ping", "").ok);
+  EXPECT_EQ(server.retained_connections(), retained_before + 1);
+  EXPECT_EQ(open.value(), open_before + 1);
+  EXPECT_EQ(accepted.value(), accepted_before + kCycles + 1);
+
+  server.request_stop();
+  server.wait();
+  EXPECT_EQ(server.retained_connections(), 0u);
+  EXPECT_EQ(open.value(), 0.0);
 }
 
 TEST_F(ServeTest, RequestTraceTreeIsSingleRooted) {
