@@ -21,6 +21,8 @@
 #include "bio/cellzome_synth.hpp"
 #include "core/context/analysis_context.hpp"
 #include "core/kcore.hpp"
+#include "core/matching.hpp"
+#include "core/multicover.hpp"
 #include "core/overlap.hpp"
 #include "core/stats.hpp"
 #include "core/traversal.hpp"
@@ -106,6 +108,27 @@ const ArtifactCase kCases[] = {
      },
      [](const Hypergraph& h) {
        return static_cast<std::uint64_t>(hp::hyper::path_summary(h).diameter);
+     }},
+    // Cached reads of a keyed slot also take the short map lock.
+    {"cover (deg2, r=2)",
+     [](const AnalysisContext& c) {
+       return static_cast<std::uint64_t>(
+           c.cover(hp::hyper::CoverWeights::kDegreeSquared, 2)
+               .vertices.size());
+     },
+     [](const Hypergraph& h) {
+       return static_cast<std::uint64_t>(
+           hp::hyper::greedy_multicover(
+               h, hp::hyper::degree_squared_weights(h), 2)
+               .vertices.size());
+     }},
+    {"matching",
+     [](const AnalysisContext& c) {
+       return static_cast<std::uint64_t>(c.matching().edges.size());
+     },
+     [](const Hypergraph& h) {
+       return static_cast<std::uint64_t>(
+           hp::hyper::greedy_matching(h).edges.size());
      }},
 };
 

@@ -173,8 +173,8 @@ assert set(bench) == {"benchmark", "instances"}, sorted(bench)
 assert bench["instances"], "context bench timed no instance"
 for inst in bench["instances"]:
     assert {"name", "num_vertices", "num_edges", "artifacts"} <= set(inst)
-    assert len(inst["artifacts"]) == 7, \
-        f"{inst['name']}: {len(inst['artifacts'])} artifacts, expected 7"
+    assert len(inst["artifacts"]) == 9, \
+        f"{inst['name']}: {len(inst['artifacts'])} artifacts, expected 9"
 worst = min(a["speedup"] for i in bench["instances"] for a in i["artifacts"])
 print(f"context bench ok: {len(bench['instances'])} instances, "
       f"worst cached-vs-rebuild speedup {worst:.0f}x")
@@ -237,11 +237,17 @@ assert all(d == 0 for d in depth.values()), f"unclosed spans: {depth}"
 
 names = {e["name"] for e in events}
 builds = {n for n in names if n.startswith("context.build.")}
-# The report builds exactly the seven context slots it reads.
+# The report builds exactly the context slots it reads: seven, plus its
+# three covers (three context.build.cover spans); the matching stays cold.
 read = {f"context.build.{a}" for a in (
     "components", "vertex_degree_histogram", "edge_size_histogram",
-    "overlap_table", "core_decomposition", "summary", "path_summary")}
+    "overlap_table", "core_decomposition", "summary", "path_summary",
+    "cover")}
 assert builds == read, f"context build spans {sorted(builds)} != {sorted(read)}"
+cover_builds = sum(
+    1 for e in events
+    if e["name"] == "context.build.cover" and e["ph"] == "B")
+assert cover_builds == 3, f"{cover_builds} cover builds, expected 3"
 peel_levels = sum(
     1 for e in events
     if e["name"] == "kcore.peel_level" and e["ph"] == "B")
@@ -331,6 +337,23 @@ done
   stats "${serve_dir}/surrogate.hyper" > "${serve_dir}/stats_warm.txt"
 diff "${serve_dir}/stats_oneshot.txt" "${serve_dir}/stats_cold.txt"
 diff "${serve_dir}/stats_oneshot.txt" "${serve_dir}/stats_warm.txt"
+# The memoized compute queries: the first request builds the cover or
+# matching slot, the second reads it; both must equal the one-shot CLI.
+# Usage: serve_parity NAME COMMAND [--flag=value ...]
+serve_parity() {
+  name="$1"
+  shift
+  "${prefix}/src/cli/hyperproteome" "$@" "${serve_dir}/surrogate.hyper" \
+    > "${serve_dir}/${name}_oneshot.txt"
+  for pass in cold warm; do
+    "${prefix}/src/cli/hyperproteome" query --socket "${sock}" \
+      "$@" "${serve_dir}/surrogate.hyper" > "${serve_dir}/${name}_${pass}.txt"
+    diff "${serve_dir}/${name}_oneshot.txt" "${serve_dir}/${name}_${pass}.txt"
+  done
+}
+serve_parity cover cover
+serve_parity cover_deg2_r2 cover --weights=deg2 --multicover=2
+serve_parity match match
 "${prefix}/src/cli/hyperproteome" query --socket "${sock}" \
   stats "${serve_dir}/surrogate.hyper" --verbose \
   | grep -q "cache=hit"
@@ -413,7 +436,7 @@ cmake --build "${prefix}-tsan" -j
 # HP_THREADS=4 forces a real multi-worker pool even on 1-2 core CI
 # machines, so TSan sees genuine cross-thread interleavings in the
 # deques, the parallel kcore/BFS/fuzz paths, and the prefetch fan-out.
-HP_THREADS=4 "${prefix}-tsan/tests/unit_tests" --gtest_filter='*Par*:*par*:TaskGroup*:ThreadPool*:LaneLimit*:Oversubscription*:Determinism*:ParallelKCore*:KCoreEquivalence*:FrontierPeel*:Seeds/FrontierPeel*:Invariants*:Mutate*:ServeTest*:ContextPool*:*TraversalProperties*:TwinQuotient*'
+HP_THREADS=4 "${prefix}-tsan/tests/unit_tests" --gtest_filter='*Par*:*par*:TaskGroup*:ThreadPool*:LaneLimit*:Oversubscription*:Determinism*:ParallelKCore*:KCoreEquivalence*:FrontierPeel*:Seeds/FrontierPeel*:Invariants*:Mutate*:ServeTest*:ContextPool*:ContextTest*:*TraversalProperties*:TwinQuotient*'
 # The fuzz smoke again runs the 1000-sequence mutation differential,
 # here with a real multi-worker pool under the rebuild tier's builds.
 HP_THREADS=4 "${prefix}-tsan/src/cli/hp_fuzz" --seed-range 0:1000 \

@@ -2,22 +2,22 @@
 
 namespace hp::bio {
 
-BaitSelection select_baits(const hyper::Hypergraph& h, BaitStrategy strategy) {
-  // Degree^2 weights for both kDegreeSquared and kDoubleCoverage: the
-  // paper's 2-multicover has average bait degree 1.74, i.e. it too
-  // prefers low-degree baits rather than minimizing the bait count.
-  const hyper::MulticoverResult cover = hyper::greedy_multicover(
-      h,
-      strategy == BaitStrategy::kMinCardinality
-          ? hyper::unit_weights(h)
-          : hyper::degree_squared_weights(h),
-      strategy == BaitStrategy::kDoubleCoverage ? 2 : 1);
+BaitSelection select_baits(const hyper::AnalysisContext& context,
+                           BaitStrategy strategy) {
+  const hyper::CoverKey key =
+      hyper::kPaperCovers[static_cast<std::size_t>(strategy)];
+  const hyper::MulticoverResult& cover = context.cover(key.weights, key.r);
   BaitSelection selection;
   selection.strategy = strategy;
   selection.baits = cover.vertices;
   selection.average_degree = cover.average_degree;
   selection.excluded_complexes = cover.clamped_edges;
   return selection;
+}
+
+BaitSelection select_baits(const hyper::Hypergraph& h, BaitStrategy strategy) {
+  const hyper::AnalysisContext context{h};
+  return select_baits(context, strategy);
 }
 
 std::vector<std::string> bait_names(const BaitSelection& selection,

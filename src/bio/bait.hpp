@@ -11,11 +11,13 @@
 #include <vector>
 
 #include "bio/complex_io.hpp"
+#include "core/context/analysis_context.hpp"
 #include "core/cover.hpp"
 #include "core/multicover.hpp"
 
 namespace hp::bio {
 
+/// Each strategy runs its row of hyper::kPaperCovers, in this order.
 enum class BaitStrategy {
   kMinCardinality,   ///< unit weights (paper: 109 proteins, avg deg 3.7)
   kDegreeSquared,    ///< w = deg^2   (paper: 233 proteins, avg deg 1.14)
@@ -31,7 +33,11 @@ struct BaitSelection {
   std::vector<index_t> excluded_complexes;
 };
 
-/// Run one strategy on the dataset's hypergraph.
+/// Run one strategy through the context's memoized cover.
+BaitSelection select_baits(const hyper::AnalysisContext& context,
+                           BaitStrategy strategy);
+
+/// Convenience overload: runs on a fresh private context over h.
 BaitSelection select_baits(const hyper::Hypergraph& h, BaitStrategy strategy);
 
 /// Bait names for reporting.

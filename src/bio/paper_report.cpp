@@ -38,7 +38,6 @@ PaperReport analyze(const hyper::Hypergraph& h) {
 }
 
 PaperReport analyze(const hyper::AnalysisContext& context) {
-  const hyper::Hypergraph& h = context.hypergraph();
   PaperReport report;
   report.summary = context.summary();
   report.paths = context.paths();
@@ -61,13 +60,16 @@ PaperReport analyze(const hyper::AnalysisContext& context) {
   report.core_complexes =
       static_cast<index_t>(cores.core_edges(cores.max_core).size());
 
-  const BaitSelection unit = select_baits(h, BaitStrategy::kMinCardinality);
+  const BaitSelection unit =
+      select_baits(context, BaitStrategy::kMinCardinality);
   report.cover_unit_size = unit.baits.size();
   report.cover_unit_degree = unit.average_degree;
-  const BaitSelection deg2 = select_baits(h, BaitStrategy::kDegreeSquared);
+  const BaitSelection deg2 =
+      select_baits(context, BaitStrategy::kDegreeSquared);
   report.cover_deg2_size = deg2.baits.size();
   report.cover_deg2_degree = deg2.average_degree;
-  const BaitSelection twice = select_baits(h, BaitStrategy::kDoubleCoverage);
+  const BaitSelection twice =
+      select_baits(context, BaitStrategy::kDoubleCoverage);
   report.multicover_size = twice.baits.size();
   report.multicover_degree = twice.average_degree;
   report.multicover_excluded = twice.excluded_complexes.size();

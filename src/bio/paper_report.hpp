@@ -60,9 +60,9 @@ struct PaperReference {
 
 /// Run the complete analysis (components, all-pairs paths, fits, core
 /// decomposition, the three covers) against a shared artifact cache:
-/// summary, paths, histograms, and the core decomposition are taken from
-/// the context, so a caller that already touched them (e.g. the CLI)
-/// pays for each exactly once.
+/// summary, paths, histograms, the core decomposition and the three
+/// covers are taken from the context, so a caller that already touched
+/// them (e.g. the CLI, or prefetch()) pays for each exactly once.
 PaperReport analyze(const hyper::AnalysisContext& context);
 
 /// Convenience overload: runs against a fresh private context.

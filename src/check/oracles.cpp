@@ -14,6 +14,7 @@
 #include "core/hypergraph_io.hpp"
 #include "core/kcore.hpp"
 #include "core/kcore_naive.hpp"
+#include "core/matching.hpp"
 #include "core/multicover.hpp"
 #include "core/overlap.hpp"
 #include "core/pajek.hpp"
@@ -503,11 +504,55 @@ void check_context(const Hypergraph& h, std::vector<CheckFailure>& failures) {
     fail(failures, "context", "cached paths != cold path_summary()");
   }
 
+  // Covers: each key against a cold greedy run on its own weights.
+  const auto same_cover = [](const hyper::MulticoverResult& a,
+                             const hyper::MulticoverResult& b) {
+    return a.vertices == b.vertices && a.clamped_edges == b.clamped_edges &&
+           a.total_weight == b.total_weight &&
+           a.average_degree == b.average_degree;
+  };
+  for (const hyper::CoverWeights weights :
+       {hyper::CoverWeights::kUnit, hyper::CoverWeights::kDegreeSquared}) {
+    const std::vector<double> w = hyper::cover_weights(h, weights);
+    const std::string name =
+        weights == hyper::CoverWeights::kUnit ? "unit" : "deg2";
+    for (index_t r : {index_t{1}, index_t{2}}) {
+      if (!same_cover(context.cover(weights, r),
+                      hyper::greedy_multicover(h, w, r))) {
+        fail(failures, "context",
+             "cached " + name + " r=" + std::to_string(r) +
+                 " cover != cold greedy_multicover");
+      }
+    }
+    // Above the largest edge every r is one key: one object, and the
+    // cold cover at the larger r.
+    const index_t limit = h.max_edge_size() + 1;
+    const hyper::MulticoverResult& clamped = context.cover(weights, limit);
+    if (&context.cover(weights, limit + 4) != &clamped ||
+        !same_cover(clamped, hyper::greedy_multicover(h, w, limit + 4))) {
+      fail(failures, "context",
+           name + " cover at r=max edge size+1 is not the one clamped key");
+    }
+  }
+  if (context.matching().edges != hyper::greedy_matching(h).edges) {
+    fail(failures, "context", "cached matching != cold greedy_matching");
+  }
+
   // Repeated access must serve the identical object (memoization, not
-  // recomputation).
+  // recomputation), and count as a hit, not a build.
+  const hyper::ContextStats before = context.stats();
   if (&context.cores() != &context.cores() ||
-      &context.paths() != &context.paths()) {
+      &context.paths() != &context.paths() ||
+      &context.cover(hyper::CoverWeights::kUnit, 1) !=
+          &context.cover(hyper::CoverWeights::kUnit, 1) ||
+      &context.matching() != &context.matching()) {
     fail(failures, "context", "repeated access rebuilt an artifact");
+  }
+  const hyper::ContextStats after = context.stats();
+  if (after.total_builds() != before.total_builds() ||
+      after.total_hits() != before.total_hits() + 8) {
+    fail(failures, "context",
+         "repeated reads built again or were not counted as hits");
   }
 }
 

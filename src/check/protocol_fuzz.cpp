@@ -207,6 +207,25 @@ std::vector<std::string> hostile_request_frames(Rng& rng) {
 
 }  // namespace
 
+std::vector<proto::Request> out_of_range_query_requests() {
+  std::vector<proto::Request> requests;
+  const auto add = [&](const char* command, const char* flag,
+                       const char* value) {
+    proto::Request request;
+    request.command = command;
+    request.args = {{flag, value}};
+    requests.push_back(std::move(request));
+  };
+  for (const char* r : {"-1", "0", "4294967296", "4294967298",
+                        "-9007199254740991"}) {
+    add("cover", "multicover", r);
+  }
+  for (const char* k : {"-1", "4294967296", "9007199254740991"}) {
+    add("core", "k", k);
+  }
+  return requests;
+}
+
 std::string random_request_frame(Rng& rng) {
   return proto::format_request(random_request(rng));
 }
@@ -233,6 +252,21 @@ std::vector<CheckFailure> check_protocol(Rng& rng, int trials) {
         break;
       case Outcome::kRejected:
         break;
+    }
+  }
+  // Range checks on query flags belong to the query layer: a frame that
+  // only carries an out-of-range value must parse, unchanged.
+  for (const proto::Request& request : out_of_range_query_requests()) {
+    const std::string frame = proto::format_request(request);
+    try {
+      if (!requests_equal(proto::parse_request(frame), request)) {
+        fail(failures, "out-of-range query changed in a round trip: " +
+                           excerpt(frame));
+      }
+    } catch (const std::exception& e) {
+      fail(failures, std::string{"out-of-range query frame rejected by "
+                                 "the protocol ("} +
+                         e.what() + "): " + excerpt(frame));
     }
   }
   // Response-side spot checks of response-only rules.

@@ -1,15 +1,13 @@
 #include "cli/query.hpp"
 
 #include <charconv>
+#include <limits>
 #include <ostream>
 #include <string_view>
 
 #include "bio/paper_report.hpp"
-#include "core/cover.hpp"
 #include "core/hypergraph_io.hpp"
 #include "core/kcore.hpp"
-#include "core/matching.hpp"
-#include "core/multicover.hpp"
 #include "core/smallworld.hpp"
 #include "core/soverlap.hpp"
 #include "core/stats.hpp"
@@ -28,6 +26,21 @@ void maybe_context_stats(const Args& args,
 }
 
 namespace {
+
+/// Parse-or-throw a flag that names an index_t: its value must lie in
+/// [min, 2^32 - 1]. A plain cast wraps -1 to 2^32 - 1 and 2^32 + 2 to 2.
+index_t index_flag(const Args& args, const std::string& name,
+                   index_t fallback, index_t min) {
+  constexpr std::int64_t kMax = std::numeric_limits<index_t>::max();
+  const std::int64_t value = args.get_int(name, fallback);
+  if (value < min || value > kMax) {
+    throw InvalidInputError{"--" + name + " must be in [" +
+                            std::to_string(min) + ", " +
+                            std::to_string(kMax) + "], got " +
+                            std::to_string(value)};
+  }
+  return static_cast<index_t>(value);
+}
 
 int query_stats(QuerySession& session, const Args& args, std::ostream& out) {
   const hyper::AnalysisContext& ctx = session.context;
@@ -65,8 +78,7 @@ int query_core(QuerySession& session, const Args& args, std::ostream& out) {
     out << "  " << k << "  " << cores.level_vertices[k] << "  "
         << cores.level_edges[k] << '\n';
   }
-  const index_t k = static_cast<index_t>(
-      args.get_int("k", static_cast<std::int64_t>(cores.max_core)));
+  const index_t k = index_flag(args, "k", cores.max_core, 0);
   const auto members = cores.core_vertices(k);
   out << "\n" << k << "-core vertices (" << members.size() << "):";
   const std::size_t limit =
@@ -91,20 +103,15 @@ int query_core(QuerySession& session, const Args& args, std::ostream& out) {
 }
 
 int query_cover(QuerySession& session, const Args& args, std::ostream& out) {
-  const hyper::Hypergraph& h = session.context.hypergraph();
   const std::string weighting = args.get("weights", "unit");
-  std::vector<double> weights;
-  if (weighting == "unit") {
-    weights = hyper::unit_weights(h);
-  } else if (weighting == "deg2") {
-    weights = hyper::degree_squared_weights(h);
-  } else {
+  hyper::CoverWeights weights = hyper::CoverWeights::kUnit;
+  if (weighting == "deg2") {
+    weights = hyper::CoverWeights::kDegreeSquared;
+  } else if (weighting != "unit") {
     throw InvalidInputError{"--weights must be 'unit' or 'deg2'"};
   }
-
-  const index_t r = static_cast<index_t>(args.get_int("multicover", 1));
-  const hyper::MulticoverResult result =
-      hyper::greedy_multicover(h, weights, r <= 1 ? 1 : r);
+  const index_t r = index_flag(args, "multicover", 1, 1);
+  const hyper::MulticoverResult& result = session.context.cover(weights, r);
   const std::vector<index_t>& cover = result.vertices;
   if (!result.clamped_edges.empty()) {
     out << result.clamped_edges.size()
@@ -124,8 +131,7 @@ int query_cover(QuerySession& session, const Args& args, std::ostream& out) {
 }
 
 int query_match(QuerySession& session, const Args& args, std::ostream& out) {
-  const hyper::MatchingResult m =
-      hyper::greedy_matching(session.context.hypergraph());
+  const hyper::MatchingResult& m = session.context.matching();
   out << "maximal matching: " << m.edges.size()
       << " pairwise-disjoint hyperedges (lower bound on any vertex "
          "cover)\n";

@@ -1,5 +1,7 @@
 #include "core/context/analysis_context.hpp"
 
+#include <algorithm>
+
 #include "par/thread_pool.hpp"
 
 namespace hp::hyper {
@@ -22,6 +24,14 @@ std::size_t histogram_bytes(const Histogram& h) {
 std::size_t cores_bytes(const HyperCoreResult& c) {
   return vector_bytes(c.vertex_core) + vector_bytes(c.edge_core) +
          vector_bytes(c.level_vertices) + vector_bytes(c.level_edges);
+}
+
+std::size_t cover_bytes(const MulticoverResult& c) {
+  return vector_bytes(c.vertices) + vector_bytes(c.clamped_edges);
+}
+
+std::size_t matching_bytes(const MatchingResult& m) {
+  return vector_bytes(m.edges);
 }
 
 }  // namespace
@@ -75,6 +85,28 @@ const HyperPathSummary& AnalysisContext::paths() const {
                     [&] { return path_summary(hypergraph_); });
 }
 
+const MulticoverResult& AnalysisContext::cover(CoverWeights weights,
+                                               index_t r) const {
+  HP_REQUIRE(r >= 1, "AnalysisContext::cover: r must be >= 1");
+  CoverKey key;
+  const detail::ArtifactSlot<MulticoverResult>* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(covers_mutex_);
+    if (cover_r_limit_ == 0) cover_r_limit_ = hypergraph_.max_edge_size() + 1;
+    key = {weights, std::min(r, cover_r_limit_)};
+    slot = &covers_[key];
+  }
+  return slot->get("context.build.cover", [&] {
+    return greedy_multicover(
+        hypergraph_, cover_weights(hypergraph_, key.weights), key.r);
+  });
+}
+
+const MatchingResult& AnalysisContext::matching() const {
+  return matching_.get("context.build.matching",
+                       [&] { return greedy_matching(hypergraph_); });
+}
+
 void AnalysisContext::prefetch() const {
   HP_TRACE_SPAN("context.prefetch");
   // Independent roots fan out; a task blocking on a sibling's slot only
@@ -89,6 +121,13 @@ void AnalysisContext::prefetch() const {
   group.run([this] { paths(); });  // internally parallel; shares the pool
   group.wait();
   summary();  // components() and overlaps() are warm now
+  // The covers last, in the order bio::analyze reads them, so one lane
+  // builds everything in the order the report once did.
+  par::TaskGroup covers;
+  for (const CoverKey& key : kPaperCovers) {
+    covers.run([this, key] { cover(key.weights, key.r); });
+  }
+  covers.wait();
 }
 
 ContextStats AnalysisContext::stats() const {
@@ -106,6 +145,24 @@ ContextStats AnalysisContext::stats() const {
       "summary", [](const HypergraphSummary&) { return sizeof(HypergraphSummary); }));
   out.artifacts.push_back(paths_.stats(
       "path summary", [](const HyperPathSummary&) { return sizeof(HyperPathSummary); }));
+  // One row for every cover key: builds counts the keys built. The
+  // slot pointers are copied out so no build holds up the map lock.
+  std::vector<const detail::ArtifactSlot<MulticoverResult>*> cover_slots;
+  {
+    std::lock_guard<std::mutex> lock(covers_mutex_);
+    for (const auto& [key, slot] : covers_) cover_slots.push_back(&slot);
+  }
+  ArtifactStats covers;
+  covers.name = "covers";
+  for (const auto* slot : cover_slots) {
+    const ArtifactStats one = slot->stats("covers", cover_bytes);
+    covers.builds += one.builds;
+    covers.hits += one.hits;
+    covers.build_seconds += one.build_seconds;
+    covers.bytes += one.bytes;
+  }
+  out.artifacts.push_back(std::move(covers));
+  out.artifacts.push_back(matching_.stats("matching", matching_bytes));
   out.hypergraph_owned_bytes = hypergraph_.owned_bytes();
   out.hypergraph_mapped_bytes = hypergraph_.mapped_bytes();
   return out;

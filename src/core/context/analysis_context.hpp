@@ -1,10 +1,11 @@
 // AnalysisContext: the memoized derived-artifact layer.
 //
-// Every analysis the report prints (§2 properties, §3 cores) is computed
-// from the same handful of derived structures -- connected components,
-// the degree and size histograms, the pairwise overlap table, the full
-// core decomposition, the structural summary and the all-pairs path
-// statistics. An AnalysisContext owns one immutable Hypergraph and
+// Every analysis the report prints (§2 properties, §3 cores, §4 covers)
+// is computed from the same handful of derived structures -- connected
+// components, the degree and size histograms, the pairwise overlap
+// table, the full core decomposition, the structural summary, the
+// all-pairs path statistics, the greedy bait covers and the maximal
+// matching. An AnalysisContext owns one immutable Hypergraph and
 // builds each of those at most once, on first access, behind a single
 // API, so the CLI, bio::analyze, hp_serve and the bench drivers stop
 // rebuilding them independently. It holds exactly the artifacts those
@@ -15,11 +16,13 @@
 // Concurrency: each slot is guarded by its own mutex with an atomic
 // ready flag fast path, so concurrent readers racing on a cold slot
 // build it exactly once and everyone blocks until the value is ready.
-// Slots may depend on one another (summary pulls components and
-// overlaps); the dependency graph is acyclic, so nested builds cannot
-// deadlock. Counter updates are relaxed atomics -- ContextStats
-// snapshots are advisory, the cached references are what carry the
-// synchronization.
+// Covers are keyed: a short map lock finds (or inserts) the key's slot,
+// and the build runs under that slot alone, so different keys build
+// concurrently and no key builds twice. Slots may depend on one another
+// (summary pulls components and overlaps); the dependency graph is
+// acyclic, so nested builds cannot deadlock. Counter updates are
+// relaxed atomics -- ContextStats snapshots are advisory, the cached
+// references are what carry the synchronization.
 //
 // The context is build-once: nothing is ever reset or rebuilt. To
 // analyse a changed hypergraph, construct a new context over it. It is
@@ -29,12 +32,15 @@
 #pragma once
 
 #include <atomic>
+#include <map>
 #include <mutex>
 #include <optional>
 
 #include "core/context/context_stats.hpp"
 #include "core/hypergraph.hpp"
 #include "core/kcore.hpp"
+#include "core/matching.hpp"
+#include "core/multicover.hpp"
 #include "core/overlap.hpp"
 #include "core/peel/peel_stats.hpp"
 #include "core/stats.hpp"
@@ -153,11 +159,23 @@ class AnalysisContext {
   /// Exact all-pairs path statistics (diameter, average length).
   const HyperPathSummary& paths() const;
 
-  /// Build every slot -- components, both histograms, overlaps, cores
-  /// and paths, fanned out across the shared pool (src/par/) via a
-  /// TaskGroup, then summary, whose inputs (components + overlaps) are
-  /// warm by then. These are exactly the artifacts bio::analyze reads.
-  /// Safe to call concurrently with readers: the slots still guarantee
+  /// Greedy multicover (core/multicover.hpp) with `weights` and the
+  /// uniform requirement r >= 1. One slot per (weights, min(r, max edge
+  /// size + 1)): above the largest edge every edge is clamped to its
+  /// cardinality, so every such r gives the same cover and the same
+  /// clamped_edges, and at most 2 * (max edge size + 1) keys exist. The
+  /// weight vector is built only inside the slot's build.
+  const MulticoverResult& cover(CoverWeights weights, index_t r) const;
+
+  /// Greedy maximal matching (core/matching.hpp).
+  const MatchingResult& matching() const;
+
+  /// Build every artifact bio::analyze reads -- components, both
+  /// histograms, overlaps, cores and paths, fanned out across the shared
+  /// pool (src/par/) via a TaskGroup, then summary, whose inputs
+  /// (components + overlaps) are warm by then, then the three
+  /// kPaperCovers, fanned out again. The matching stays cold. Safe to
+  /// call concurrently with readers: the slots still guarantee
   /// exactly-once construction. At HP_THREADS=1 this runs every build
   /// inline, in the order listed.
   void prefetch() const;
@@ -175,6 +193,16 @@ class AnalysisContext {
   detail::ArtifactSlot<HyperCoreResult> cores_;
   detail::ArtifactSlot<HypergraphSummary> summary_;
   detail::ArtifactSlot<HyperPathSummary> paths_;
+  detail::ArtifactSlot<MatchingResult> matching_;
+
+  /// Guards the map (lookups and inserts) and cover_r_limit_, never a
+  /// build. Nodes are never erased, so a slot's address stays valid
+  /// after the lock is dropped.
+  mutable std::mutex covers_mutex_;
+  mutable std::map<CoverKey, detail::ArtifactSlot<MulticoverResult>> covers_;
+  /// max edge size + 1, the largest distinct cover requirement; 0 until
+  /// the first cover() call computes it.
+  mutable index_t cover_r_limit_ = 0;
 
   /// Written exactly once, inside the cores_ build (under its mutex),
   /// read only after cores() returned.

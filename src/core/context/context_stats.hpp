@@ -19,7 +19,7 @@ namespace hp::hyper {
 struct ArtifactStats {
   std::string name;
   /// Accesses that had to build the artifact: 0 (never requested) or 1
-  /// (built).
+  /// (built). A keyed row (covers) sums its keys: the keys built.
   count_t builds = 0;
   /// Accesses served from the cache after a build.
   count_t hits = 0;

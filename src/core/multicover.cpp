@@ -90,6 +90,11 @@ MulticoverResult greedy_multicover(const Hypergraph& h,
                            std::vector<index_t>(h.num_edges(), r));
 }
 
+std::vector<double> cover_weights(const Hypergraph& h, CoverWeights weights) {
+  return weights == CoverWeights::kUnit ? unit_weights(h)
+                                        : degree_squared_weights(h);
+}
+
 bool is_multicover(const Hypergraph& h, const std::vector<index_t>& cover,
                    const std::vector<index_t>& requirements) {
   HP_REQUIRE(requirements.size() == h.num_edges(),

@@ -12,12 +12,42 @@
 // singleton complexes, which cannot be covered twice, are excluded).
 #pragma once
 
+#include <compare>
+#include <cstdint>
 #include <vector>
 
 #include "core/cover.hpp"
 #include "core/hypergraph.hpp"
 
 namespace hp::hyper {
+
+/// The two weightings the paper's covers use: unit_weights (minimum
+/// cardinality) and degree_squared_weights (low-degree baits).
+enum class CoverWeights : std::uint8_t { kUnit, kDegreeSquared };
+
+/// The weight vector a CoverWeights names.
+std::vector<double> cover_weights(const Hypergraph& h, CoverWeights weights);
+
+/// One greedy multicover: a weighting and a uniform requirement r >= 1.
+struct CoverKey {
+  CoverWeights weights = CoverWeights::kUnit;
+  index_t r = 1;
+
+  auto operator<=>(const CoverKey&) const = default;
+};
+
+/// The three covers section 4 reports, in bio::BaitStrategy order: the
+/// Fig. 5 unit cover (109 proteins), the degree^2 cover (233) and the
+/// degree^2 2-multicover (558; degree^2 weights too, since the paper's
+/// 2-multicover has average bait degree 1.74, i.e. it too prefers
+/// low-degree baits rather than minimizing the bait count). The report
+/// reads exactly these, so AnalysisContext::prefetch() builds exactly
+/// these.
+inline constexpr CoverKey kPaperCovers[] = {
+    {CoverWeights::kUnit, 1},
+    {CoverWeights::kDegreeSquared, 1},
+    {CoverWeights::kDegreeSquared, 2},
+};
 
 struct MulticoverResult {
   std::vector<index_t> vertices;  ///< selection order

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -35,6 +36,23 @@ void check_deadline(std::uint64_t deadline_ns, const char* stage) {
     throw TimeoutError{std::string{"deadline exceeded "} + stage};
   }
 }
+
+/// One request stage: a child span of serve.request and one sample in
+/// the stage's histogram, both named server.stage.<stage>.
+class Stage {
+ public:
+  Stage(const char* span_name, obs::LatencyHistogram& histogram)
+      : span_{span_name}, histogram_{histogram}, start_ns_{now_ns()} {}
+  ~Stage() { histogram_.record_ns(now_ns() - start_ns_); }
+
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
+
+ private:
+  obs::TraceSpan span_;
+  obs::LatencyHistogram& histogram_;
+  std::uint64_t start_ns_;
+};
 
 /// Rebuild an Args view from the validated wire args. Every value rides
 /// in --key=value form, which the parser treats identically to the
@@ -139,6 +157,9 @@ const ServerCommand* find_server_command(const std::string& name) {
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
+      parse_ns_(obs::latency("server.stage.parse_ns")),
+      execute_ns_(obs::latency("server.stage.execute_ns")),
+      write_ns_(obs::latency("server.stage.write_ns")),
       pool_(std::make_unique<ContextPool>(options_.cache_budget_bytes)) {}
 
 Server::~Server() {
@@ -240,19 +261,29 @@ void Server::connection_main(Connection& connection) {
     if (frame.empty()) continue;  // blank keep-alive line
     record_frame(frame);
 
+    HP_TRACE_SPAN("serve.request");
+    std::optional<proto::Request> request;
     proto::Response response;
-    try {
-      response = handle(proto::parse_request(frame));
-    } catch (const std::exception& error) {
-      // Frame-level failure (malformed JSON, bad fields): the framing
-      // itself is intact, so reply and keep the connection.
-      response.ok = false;
-      response.error = error.what();
-      obs::counter("server.errors").add(1);
+    {
+      Stage stage{"server.stage.parse", parse_ns_};
+      try {
+        request = proto::parse_request(frame);
+      } catch (const std::exception& error) {
+        // Frame-level failure (malformed JSON, bad fields): the framing
+        // itself is intact, so reply and keep the connection.
+        response.ok = false;
+        response.error = error.what();
+        obs::counter("server.errors").add(1);
+      }
     }
-    if (!write_all(socket->fd(), proto::format_response(response) + "\n")) {
-      break;
+    if (request.has_value()) response = execute(*request);
+    bool written = false;
+    {
+      Stage stage{"server.stage.write", write_ns_};
+      written =
+          write_all(socket->fd(), proto::format_response(response) + "\n");
     }
+    if (!written) break;
   }
   socket->close();
   std::lock_guard<std::mutex> lock(connections_mutex_);
@@ -263,6 +294,11 @@ void Server::connection_main(Connection& connection) {
 }
 
 proto::Response Server::handle(const proto::Request& request) {
+  HP_TRACE_SPAN("serve.request");
+  return execute(request);
+}
+
+proto::Response Server::execute(const proto::Request& request) {
   const std::uint64_t start_ns = now_ns();
   const std::uint64_t timeout_ms = request.timeout_ms != 0
                                        ? request.timeout_ms
@@ -293,14 +329,16 @@ proto::Response Server::handle(const proto::Request& request) {
     // artifact builds it triggers) shares the work-stealing lanes with
     // every other request; wait() helps, so at HP_THREADS=1 this is
     // plain inline execution. TaskGroup also re-parents the task's
-    // spans under our serve.request span on whichever lane runs it.
-    HP_TRACE_SPAN("serve.request");
+    // spans under the execute stage on whichever lane runs it.
     check_deadline(deadline_ns, "before execution");
     proto::Response inner;
     inner.id = request.id;
-    par::TaskGroup group;
-    group.run([&] { inner = dispatch(request, deadline_ns); });
-    group.wait();
+    {
+      Stage stage{"server.stage.execute", execute_ns_};
+      par::TaskGroup group;
+      group.run([&] { inner = dispatch(request, deadline_ns); });
+      group.wait();
+    }
     check_deadline(deadline_ns, "during execution");
     response = std::move(inner);
   } catch (const TimeoutError& error) {

@@ -19,11 +19,13 @@
 // that finished since the last accept.
 //
 // Observability: every request runs under a `serve.request` root span
-// (command-specific child spans come from the query layer), and the
-// server.* metrics family tracks requests, errors, timeouts, cache
-// hits/misses/evictions, connections (server.connections: ever
-// accepted; server.connections_open: not yet finished), queue depth and
-// per-command latency histograms.
+// with one child span per stage -- server.stage.parse, .execute (which
+// holds the query layer's spans) and .write -- and the server.* metrics
+// family tracks requests, errors, timeouts, cache hits/misses/evictions,
+// connections (server.connections: ever accepted;
+// server.connections_open: not yet finished), queue depth, per-command
+// latency histograms and one server.stage.<stage>_ns histogram per
+// stage.
 #pragma once
 
 #include <atomic>
@@ -34,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/context_pool.hpp"
 #include "serve/protocol.hpp"
 #include "serve/socket.hpp"
@@ -85,9 +88,10 @@ class Server {
   std::size_t retained_connections();
 
   /// Execute one parsed request exactly as a connection would (metrics,
-  /// tracing, timeout handling included) -- the in-process path used by
-  /// tests and the load generator to measure the server without socket
-  /// noise.
+  /// tracing, timeout handling included) under its own serve.request
+  /// span -- the in-process path used by tests and the load generator to
+  /// measure the server without socket noise. It times the execute stage
+  /// only: there is no frame to parse or reply to write.
   proto::Response handle(const proto::Request& request);
 
  private:
@@ -106,6 +110,9 @@ class Server {
   void connection_main(Connection& connection);
   /// Join and erase finished connections. Caller holds connections_mutex_.
   void reap_finished();
+  /// handle() without its serve.request span, which connection_main
+  /// opens around all three stages instead.
+  proto::Response execute(const proto::Request& request);
   proto::Response dispatch(const proto::Request& request,
                            std::uint64_t deadline_ns);
   void record_frame(const std::string& frame);
@@ -122,6 +129,12 @@ class Server {
   std::uint64_t accepted_connections_ = 0;  // guarded by connections_mutex_
 
   std::mutex record_mutex_;
+
+  /// server.stage.{parse,execute,write}_ns, looked up once here rather
+  /// than by name on every request.
+  obs::LatencyHistogram& parse_ns_;
+  obs::LatencyHistogram& execute_ns_;
+  obs::LatencyHistogram& write_ns_;
 
   std::unique_ptr<ContextPool> pool_;
 };

@@ -96,6 +96,57 @@ TEST_F(CliTest, CoverRejectsBadWeights) {
                InvalidInputError);
 }
 
+TEST_F(CliTest, CoverRejectsOutOfRangeMulticover) {
+  // A plain cast once turned -1 into r = 2^32 - 1 and 2^32 + 2 into 2.
+  for (const char* r : {"-1", "0", "4294967296", "4294967298"}) {
+    std::ostringstream out;
+    EXPECT_THROW(cmd_cover(make_args({"cover", table_path_.c_str(),
+                                      "--multicover", r}),
+                           out),
+                 InvalidInputError)
+        << r;
+  }
+  std::ostringstream top;
+  EXPECT_EQ(cmd_cover(make_args({"cover", table_path_.c_str(),
+                                 "--multicover", "4294967295"}),
+                      top),
+            0);
+}
+
+TEST_F(CliTest, CoverAboveTheLargestComplexIsOneAnswer) {
+  // The largest complex has 4 proteins: every r >= 5 clamps every
+  // complex and gives the same cover.
+  std::ostringstream five, huge;
+  ASSERT_EQ(cmd_cover(make_args({"cover", table_path_.c_str(),
+                                 "--multicover", "5"}),
+                      five),
+            0);
+  ASSERT_EQ(cmd_cover(make_args({"cover", table_path_.c_str(),
+                                 "--multicover", "4294967295"}),
+                      huge),
+            0);
+  EXPECT_EQ(five.str(), huge.str());
+  EXPECT_NE(five.str().find("3 hyperedges smaller than the requirement"),
+            std::string::npos)
+      << five.str();
+}
+
+TEST_F(CliTest, CoreRejectsOutOfRangeK) {
+  for (const char* k : {"-1", "4294967296"}) {
+    std::ostringstream out;
+    EXPECT_THROW(
+        cmd_core(make_args({"core", table_path_.c_str(), "--k", k}), out),
+        InvalidInputError)
+        << k;
+  }
+  std::ostringstream zero;
+  EXPECT_EQ(cmd_core(make_args({"core", table_path_.c_str(), "--k", "0"}),
+                     zero),
+            0);
+  EXPECT_NE(zero.str().find("0-core vertices (6)"), std::string::npos)
+      << zero.str();
+}
+
 TEST_F(CliTest, ConvertTsvToHgrAndBack) {
   const std::string hgr = dir_ + "/cli_conv.hgr";
   const std::string hyper = dir_ + "/cli_conv.hyper";

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +13,8 @@
 #include "bio/cellzome_synth.hpp"
 #include "bio/paper_report.hpp"
 #include "core/kcore.hpp"
+#include "core/matching.hpp"
+#include "core/multicover.hpp"
 #include "core/overlap.hpp"
 #include "core/projection.hpp"
 #include "core/stats.hpp"
@@ -94,7 +96,74 @@ TEST(ContextTest, ArtifactsMatchDirectComputationAcrossSeeds) {
     EXPECT_DOUBLE_EQ(ctx.paths().average_length,
                      direct_paths.average_length);
     EXPECT_EQ(ctx.paths().connected_pairs, direct_paths.connected_pairs);
+
+    for (const CoverKey key : kPaperCovers) {
+      const MulticoverResult direct = greedy_multicover(
+          h, key.weights == CoverWeights::kUnit ? unit_weights(h)
+                                                : degree_squared_weights(h),
+          key.r);
+      const MulticoverResult& cached = ctx.cover(key.weights, key.r);
+      EXPECT_EQ(cached.vertices, direct.vertices);
+      EXPECT_EQ(cached.clamped_edges, direct.clamped_edges);
+      EXPECT_EQ(cached.total_weight, direct.total_weight);
+      EXPECT_EQ(cached.average_degree, direct.average_degree);
+    }
+    EXPECT_EQ(ctx.matching().edges, greedy_matching(h).edges);
   }
+}
+
+/// The "covers" row of a stats snapshot.
+ArtifactStats covers_row(const AnalysisContext& ctx) {
+  for (const ArtifactStats& a : ctx.stats().artifacts) {
+    if (a.name == "covers") return a;
+  }
+  ADD_FAILURE() << "no covers row";
+  return {};
+}
+
+TEST(ContextTest, CoverRequirementsAboveTheLargestEdgeShareOneKey) {
+  const Hypergraph h = testing::toy_hypergraph();
+  const AnalysisContext ctx{h};
+  const index_t limit = h.max_edge_size() + 1;
+  const MulticoverResult& clamped = ctx.cover(CoverWeights::kUnit, limit);
+  // Every edge is smaller than any r >= limit: one cover, every edge
+  // clamped, whatever the r.
+  EXPECT_EQ(&ctx.cover(CoverWeights::kUnit, limit + 5), &clamped);
+  EXPECT_EQ(&ctx.cover(CoverWeights::kUnit, 4294967295u), &clamped);
+  EXPECT_EQ(clamped.clamped_edges.size(), h.num_edges());
+  const MulticoverResult cold =
+      greedy_multicover(h, unit_weights(h), limit + 5);
+  EXPECT_EQ(clamped.vertices, cold.vertices);
+  EXPECT_EQ(clamped.clamped_edges, cold.clamped_edges);
+  EXPECT_EQ(covers_row(ctx).builds, 1u);
+
+  // r = max edge size is its own key: the largest edges are not clamped.
+  const MulticoverResult& largest = ctx.cover(CoverWeights::kUnit, limit - 1);
+  EXPECT_NE(&largest, &clamped);
+  EXPECT_LT(largest.clamped_edges.size(), h.num_edges());
+  // So is the other weighting at the same r.
+  EXPECT_NE(&ctx.cover(CoverWeights::kDegreeSquared, limit), &clamped);
+  EXPECT_EQ(covers_row(ctx).builds, 3u);
+}
+
+TEST(ContextTest, SecondCoverReadIsAHitNotABuild) {
+  const AnalysisContext ctx{testing::toy_hypergraph()};
+  const MulticoverResult& first = ctx.cover(CoverWeights::kDegreeSquared, 2);
+  const ArtifactStats after_first = covers_row(ctx);
+  EXPECT_EQ(after_first.builds, 1u);
+  EXPECT_EQ(after_first.hits, 0u);
+  EXPECT_GT(after_first.bytes, 0u);
+  EXPECT_EQ(&ctx.cover(CoverWeights::kDegreeSquared, 2), &first);
+  const ArtifactStats after_second = covers_row(ctx);
+  EXPECT_EQ(after_second.builds, 1u);
+  EXPECT_EQ(after_second.hits, 1u);
+  EXPECT_EQ(after_second.bytes, after_first.bytes);
+}
+
+TEST(ContextTest, CoverRejectsAZeroRequirement) {
+  const AnalysisContext ctx{testing::toy_hypergraph()};
+  EXPECT_ANY_THROW(ctx.cover(CoverWeights::kUnit, 0));
+  EXPECT_EQ(covers_row(ctx).builds, 0u);
 }
 
 TEST(ContextTest, EachArtifactBuildsExactlyOnce) {
@@ -110,10 +179,12 @@ TEST(ContextTest, EachArtifactBuildsExactlyOnce) {
     ctx.cores();
     ctx.summary();
     ctx.paths();
+    ctx.cover(CoverWeights::kUnit, 1);
+    ctx.matching();
   }
 
   const ContextStats stats = ctx.stats();
-  ASSERT_EQ(stats.artifacts.size(), 7u);
+  ASSERT_EQ(stats.artifacts.size(), 9u);
   for (const ArtifactStats& a : stats.artifacts) {
     EXPECT_EQ(a.builds, 1u) << a.name;
     EXPECT_GE(a.hits, 1u) << a.name;
@@ -137,10 +208,15 @@ TEST(ContextTest, UntouchedSlotsReportZeroBuilds) {
 }
 
 TEST(ContextTest, PrefetchBuildsExactlyWhatAnalyzeReads) {
-  const std::set<std::string> read = {
-      "components",         "vertex degree histogram", "edge size histogram",
-      "overlap table",      "core decomposition",      "path summary",
-      "summary"};
+  // Every row with its build count after prefetch(): each slot the
+  // report reads once, the three paper covers as three keys, and the
+  // matching, which the report does not read, cold.
+  const std::map<std::string, count_t> expected = {
+      {"components", 1},         {"vertex degree histogram", 1},
+      {"edge size histogram", 1}, {"overlap table", 1},
+      {"core decomposition", 1}, {"path summary", 1},
+      {"summary", 1},            {"covers", 3},
+      {"matching", 0}};
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     bio::CellzomeParams params;
@@ -148,19 +224,19 @@ TEST(ContextTest, PrefetchBuildsExactlyWhatAnalyzeReads) {
     const AnalysisContext ctx{bio::cellzome_surrogate(params).hypergraph};
     ctx.prefetch();
     const ContextStats after_prefetch = ctx.stats();
-    std::set<std::string> listed;
+    std::map<std::string, count_t> built;
     for (const ArtifactStats& a : after_prefetch.artifacts) {
-      listed.insert(a.name);
-      EXPECT_EQ(a.builds, 1u) << a.name;
+      built[a.name] = a.builds;
     }
-    EXPECT_EQ(listed, read);
-    EXPECT_EQ(after_prefetch.artifacts.size(), read.size());
+    EXPECT_EQ(built, expected);
+    EXPECT_EQ(after_prefetch.artifacts.size(), expected.size());
 
     // Builds only grow, so an equal total means no slot built again.
     bio::analyze(ctx);
     const ContextStats after_analyze = ctx.stats();
     EXPECT_EQ(after_analyze.total_builds(), after_prefetch.total_builds());
     EXPECT_GT(after_analyze.total_hits(), after_prefetch.total_hits());
+    EXPECT_EQ(covers_row(ctx).hits, 3u);
   }
 }
 
@@ -211,6 +287,36 @@ TEST(ContextTest, ConcurrentFirstAccessBuildsOnce) {
   // 8 threads x 50 rounds x 5 artifacts minus the 5 builds.
   EXPECT_EQ(ctx.stats().total_hits() + ctx.stats().total_builds(),
             8u * 50u * 5u + /* summary's internal deps */ 2u * 1u);
+}
+
+TEST(ContextTest, ConcurrentFirstCoverReadsBuildEachKeyOnce) {
+  Rng rng{11};
+  const Hypergraph h = testing::random_hypergraph(rng, 80, 50, 6);
+  const AnalysisContext ctx{h};
+
+  // Every thread starts on the same cold key, then walks the others, so
+  // first reads of one key race as well as builds of different keys.
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 20;
+  std::vector<const MulticoverResult*> first(kThreads, nullptr);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&ctx, &first, t] {
+      first[t] = &ctx.cover(CoverWeights::kDegreeSquared, 2);
+      for (int i = 0; i < kRounds; ++i) {
+        for (const CoverKey key : kPaperCovers) ctx.cover(key.weights, key.r);
+        ctx.matching();
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(first[t], first[0]);
+  const ArtifactStats covers = covers_row(ctx);
+  EXPECT_EQ(covers.builds, 3u);
+  EXPECT_EQ(covers.hits + covers.builds,
+            static_cast<count_t>(kThreads) * (1 + 3 * kRounds));
+  EXPECT_EQ(ctx.stats().total_builds(), 4u);  // three covers + matching
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "cli/query.hpp"
 #include "serve/context_pool.hpp"
@@ -16,6 +17,13 @@
 
 namespace hp::serve {
 namespace {
+
+/// Query flags in --key=value form, as the server's wire_args builds.
+Args query_args(const std::vector<const char*>& flags) {
+  std::vector<const char*> argv{"hp_serve"};
+  argv.insert(argv.end(), flags.begin(), flags.end());
+  return Args{static_cast<int>(argv.size()), argv.data()};
+}
 
 class ContextPoolTest : public ::testing::Test {
  protected:
@@ -75,6 +83,11 @@ TEST_F(ContextPoolTest, ChargedBytesTrackContextStatsExactly) {
     std::ostringstream out;
     cli::run_query(lease.session(), "stats", args, out);
     cli::run_query(lease.session(), "soverlap", args, out);
+    cli::run_query(lease.session(), "match", args, out);
+    // Two cover keys: unit r = 1 and deg2 r = 2.
+    cli::run_query(lease.session(), "cover", args, out);
+    cli::run_query(lease.session(), "cover",
+                   query_args({"--weights=deg2", "--multicover=2"}), out);
   }
   { ContextPool::Lease lease = pool.acquire(path_b_); }
 
@@ -99,16 +112,33 @@ TEST_F(ContextPoolTest, QueriesGrowTheCharge) {
     ContextPool::Lease lease = pool.acquire(path_a_);
     cold = session_charge_bytes(lease.session());
   }
-  {
-    ContextPool::Lease lease = pool.acquire(path_a_);
-    Args args{0, nullptr};
-    std::ostringstream out;
-    cli::run_query(lease.session(), "soverlap", args, out);
+  // Each query's artifact -- the overlap table, the matching, then two
+  // cover keys -- is charged at release, and the charge stays the
+  // session's own accounting.
+  std::size_t before = cold;
+  for (const std::vector<const char*>& query :
+       std::vector<std::vector<const char*>>{
+           {"soverlap"},
+           {"match"},
+           {"cover"},
+           {"cover", "--weights=deg2", "--multicover=2"}}) {
+    SCOPED_TRACE(query[0]);
+    std::size_t measured = 0;
+    {
+      ContextPool::Lease lease = pool.acquire(path_a_);
+      std::ostringstream out;
+      cli::run_query(lease.session(), query[0],
+                     query_args(std::vector<const char*>(query.begin() + 1,
+                                                         query.end())),
+                     out);
+      measured = session_charge_bytes(lease.session());
+    }
+    const std::vector<ChargedEntry> entries = pool.charged_entries();
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_GT(entries[0].bytes, before);
+    EXPECT_EQ(entries[0].bytes, measured);
+    before = entries[0].bytes;
   }
-  // The overlap table built during the query is charged at release.
-  const std::vector<ChargedEntry> entries = pool.charged_entries();
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_GT(entries[0].bytes, cold);
 }
 
 TEST_F(ContextPoolTest, EvictsLeastRecentlyUsedUnderBudget) {

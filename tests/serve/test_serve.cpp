@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "check/protocol_fuzz.hpp"
 #include "cli/commands.hpp"
 #include "cli/query.hpp"
 #include "obs/json_check.hpp"
@@ -87,6 +88,67 @@ TEST_F(ServeTest, ArgsReachTheQueryLayer) {
   ASSERT_TRUE(limited.ok) << limited.error;
   EXPECT_NE(limited.output.find("..."), std::string::npos)
       << "limit=1 should elide the member list:\n" << limited.output;
+}
+
+TEST_F(ServeTest, OutOfRangeQueryArgsGetErrorReplies) {
+  Server server{options("range")};
+  server.start();
+  Client client{server.endpoint()};
+  for (proto::Request request : check::out_of_range_query_requests()) {
+    request.path = data_a_;
+    const std::string flag = request.args[0].first + "=" +
+                             request.args[0].second;
+    const proto::Response response = client.call(std::move(request));
+    EXPECT_FALSE(response.ok) << flag << ":\n" << response.output;
+    EXPECT_NE(response.error.find("must be in ["), std::string::npos)
+        << flag << ": " << response.error;
+  }
+  // The connection survives, and in-range values still answer.
+  const proto::Response top =
+      client.query("cover", data_a_, {{"multicover", "4294967295"}});
+  EXPECT_TRUE(top.ok) << top.error;
+  const proto::Response zero = client.query("core", data_a_, {{"k", "0"}});
+  EXPECT_TRUE(zero.ok) << zero.error;
+}
+
+TEST_F(ServeTest, OneRequestRecordsOneSampleInEachStage) {
+  Server server{options("stages")};
+  obs::reset_tracing();
+  obs::set_tracing_enabled(true);
+  server.start();
+  obs::LatencyHistogram& parse = obs::latency("server.stage.parse_ns");
+  obs::LatencyHistogram& execute = obs::latency("server.stage.execute_ns");
+  obs::LatencyHistogram& write = obs::latency("server.stage.write_ns");
+  const std::uint64_t before[] = {parse.count(), execute.count(),
+                                  write.count()};
+  {
+    Client client{server.endpoint()};
+    const proto::Response response = client.query("stats", data_a_);
+    ASSERT_TRUE(response.ok) << response.error;
+  }
+  // The write stage records after the reply left, so join the
+  // connection before reading the histograms.
+  server.request_stop();
+  server.wait();
+  EXPECT_EQ(parse.count(), before[0] + 1);
+  EXPECT_EQ(execute.count(), before[1] + 1);
+  EXPECT_EQ(write.count(), before[2] + 1);
+
+  // One tree: the three stage spans under the request's root.
+  std::ostringstream trace;
+  obs::write_chrome_trace(trace);
+  obs::set_tracing_enabled(false);
+  obs::reset_tracing();
+  const obs::json::Value root = obs::json::parse(trace.str());
+  const obs::TraceSummary summary = obs::summarize_trace(root);
+  EXPECT_TRUE(summary.all_balanced());
+  EXPECT_TRUE(summary.all_single_rooted());
+  EXPECT_TRUE(summary.parent_integrity);
+  EXPECT_EQ(summary.trees.size(), 1u);
+  for (const char* name : {"serve.request", "server.stage.parse",
+                           "server.stage.execute", "server.stage.write"}) {
+    EXPECT_NE(trace.str().find(name), std::string::npos) << name;
+  }
 }
 
 TEST_F(ServeTest, EvictionUnderTinyBudget) {
